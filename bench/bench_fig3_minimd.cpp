@@ -71,7 +71,7 @@ int main() {
     for (std::size_t i = 0; i < it->second.size(); ++i) {
       std::printf("%7.0f  event: %s\n",
                   util::ns_to_seconds(it->second.times()[i] - record->start_time),
-                  it->second.values()[i].as_string().c_str());
+                  it->second.value_at(i).as_string().c_str());
       ++events;
     }
   }

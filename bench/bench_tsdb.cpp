@@ -1,8 +1,13 @@
-// Perf-3 (paper §III-C): the time-series back-end — ingest rate, windowed
-// aggregation query latency vs. series cardinality, tag-index selectivity
-// and retention enforcement.
+// Perf-3 (paper §III-C): the time-series back-end — memory per stored
+// sample, ingest rate, windowed aggregation query latency vs. series
+// cardinality, tag-index selectivity and retention enforcement.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <memory>
 
 #include "lms/lineproto/codec.hpp"
 #include "lms/tsdb/persist.hpp"
@@ -34,6 +39,58 @@ std::vector<lineproto::Point> make_points(int n, int hosts, TimeNs t0) {
   }
   return out;
 }
+
+/// Resident set size from /proc/self/statm (0 where unavailable).
+std::size_t rss_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long pages = 0;
+  unsigned long resident = 0;
+  const int n = std::fscanf(f, "%lu %lu", &pages, &resident);
+  std::fclose(f);
+  return n == 2 ? resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE)) : 0;
+}
+
+void BM_BytesPerSample(benchmark::State& state) {
+  // Fixed preload in the collector fleet's shape: 64 hosts x 8 float fields,
+  // 180 ticks written host-interleaved, so every column grows by 180
+  // interleaved appends. The counter is RSS growth / Storage::totals()
+  // samples. The batches are built up front and each storage is kept alive,
+  // so no iteration reuses memory another one freed.
+  constexpr int kHosts = 64;
+  constexpr int kTicks = 180;
+  static const char* const kFields[] = {"cpi",      "dp_mflop_per_s", "mem_bw", "l2_bw",
+                                        "l3_bw",    "power_w",        "clock",  "ipc"};
+  util::Rng rng(5);
+  std::vector<std::vector<lineproto::Point>> batches(kTicks);
+  for (int tick = 0; tick < kTicks; ++tick) {
+    for (int h = 0; h < kHosts; ++h) {
+      lineproto::Point p;
+      p.measurement = "likwid";
+      p.set_tag("hostname", "node" + std::to_string(h));
+      p.set_tag("jobid", std::to_string(h / 8));
+      for (const char* field : kFields) p.add_field(field, rng.uniform(0, 1000));
+      p.timestamp = tick * 10 * kSec;
+      p.normalize();
+      batches[static_cast<std::size_t>(tick)].push_back(std::move(p));
+    }
+  }
+  std::vector<std::unique_ptr<tsdb::Storage>> kept;
+  std::size_t grown = 0;
+  std::size_t samples = 0;
+  for (auto _ : state) {
+    const std::size_t rss0 = rss_bytes();
+    auto storage = std::make_unique<tsdb::Storage>();
+    for (const auto& batch : batches) storage->write("lms", batch, 0);
+    grown += rss_bytes() - rss0;
+    samples += storage->totals().samples;
+    kept.push_back(std::move(storage));
+  }
+  state.counters["bytes_per_sample"] =
+      static_cast<double>(grown) / static_cast<double>(std::max<std::size_t>(1, samples));
+  state.SetItemsProcessed(static_cast<std::int64_t>(samples));
+}
+BENCHMARK(BM_BytesPerSample)->Iterations(5)->Unit(benchmark::kMillisecond);
 
 void BM_WritePoints(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));

@@ -93,9 +93,9 @@ int main() {
   for (const auto* s : events) {
     const auto it = s->columns.find("text");
     if (it == s->columns.end()) continue;
-    for (const auto& v : it->second.values()) {
+    for (std::size_t i = 0; i < it->second.size(); ++i) {
       std::printf("  [%s] %s\n", std::string(s->tag("event")).c_str(),
-                  v.as_string().c_str());
+                  it->second.value_at(i).as_string().c_str());
     }
   }
   return 0;

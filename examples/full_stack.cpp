@@ -85,8 +85,8 @@ int main() {
   for (const auto* s : lms_db->series_of("alerts")) {
     const auto it = s->columns.find("text");
     if (it == s->columns.end()) continue;
-    for (const auto& v : it->second.values()) {
-      std::printf("  %s\n", v.as_string().c_str());
+    for (std::size_t i = 0; i < it->second.size(); ++i) {
+      std::printf("  %s\n", it->second.value_at(i).as_string().c_str());
     }
   }
 
@@ -96,11 +96,11 @@ int main() {
   for (const auto* s : lms_db->series_of("lms_alerts")) {
     const auto it = s->columns.find("text");
     if (it == s->columns.end()) continue;
-    for (std::size_t i = 0; i < it->second.values().size(); ++i) {
+    for (std::size_t i = 0; i < it->second.size(); ++i) {
       std::printf("  [%s] %-8s %s\n",
                   util::format_duration(it->second.times()[i] - opts.start_time).c_str(),
                   std::string(s->tag("state")).c_str(),
-                  it->second.values()[i].as_string().c_str());
+                  it->second.value_at(i).as_string().c_str());
     }
   }
   std::printf("evaluator: %llu evaluations, %llu transitions, %zu firing now\n",

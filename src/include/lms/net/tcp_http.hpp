@@ -5,10 +5,10 @@
 // integration tests; the simulator uses the in-process transport instead.
 
 #include <atomic>
+#include <list>
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "lms/core/runtime.hpp"
 #include "lms/core/sync.hpp"
@@ -53,6 +53,13 @@ class TcpHttpServer {
   std::string url() const;  ///< "http://127.0.0.1:<port>"
 
  private:
+  /// A connection's thread; `done` is set as its last action, so joining a
+  /// done worker never blocks on a live connection.
+  struct Worker {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   void accept_loop();
   void serve_connection(int fd);
 
@@ -64,7 +71,7 @@ class TcpHttpServer {
   std::thread accept_thread_;
   core::runtime::LoopStats accept_loop_stats_{"net.tcp.accept"};
   core::sync::Mutex workers_mu_{core::sync::Rank::kNet, "net.tcp.workers"};
-  std::vector<std::thread> workers_ LMS_GUARDED_BY(workers_mu_);
+  std::list<Worker> workers_ LMS_GUARDED_BY(workers_mu_);  ///< stable addresses
   std::atomic<std::size_t> active_connections_{0};
 };
 

@@ -5,6 +5,8 @@
 // collectors (Diamond, curl cronjobs, Ganglia proxies — paper §III-A) can be
 // pointed at it unchanged:
 //   POST /write?db=<name>[&precision=ns]   body: line protocol batch
+//        (lenient: malformed lines and field values whose type conflicts
+//        with their column are dropped and counted, the rest lands, 204)
 //   GET/POST /query?db=<name>&q=<influxql> -> InfluxDB JSON
 //        (q may be "EXPLAIN SELECT ..." -> scan statistics, no rows)
 //   GET  /ping                             -> 204
@@ -90,6 +92,8 @@ class HttpApi : public core::Runnable {
   std::uint64_t write_requests() const { return write_requests_.value(); }
   std::uint64_t query_requests() const { return query_requests_.value(); }
   std::uint64_t parse_errors() const { return parse_errors_.value(); }
+  /// Field values rejected because their type differs from the column's.
+  std::uint64_t field_type_conflicts() const { return type_conflicts_.value(); }
   std::uint64_t slow_queries() const { return slow_queries_.value(); }
 
   /// The registry holding the tsdb_* instruments.
@@ -132,6 +136,7 @@ class HttpApi : public core::Runnable {
   obs::Counter& write_requests_;
   obs::Counter& query_requests_;
   obs::Counter& parse_errors_;
+  obs::Counter& type_conflicts_;
   obs::Counter& slow_queries_;
   obs::Counter& series_scanned_;
   obs::Counter& points_examined_;

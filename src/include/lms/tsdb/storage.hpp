@@ -4,10 +4,19 @@
 //
 // Model (matches InfluxDB 1.x):
 //   database -> measurement -> series (unique tag set) -> field columns
-// A series holds one column per field key; a column is a pair of parallel
-// vectors (timestamps, values). Values can be floats, ints, bools or strings
-// (events are string-valued points). Writes are typically time-ordered per
-// series; out-of-order writes are handled by sorted insertion.
+// A series holds one column per field key. Writes are typically time-ordered
+// per series; out-of-order writes are handled by sorted insertion.
+//
+// Typed columns (the TSM layout: one typed, time-sorted block per field): a
+// column is a contiguous time vector plus ONE value vector of the column's
+// type — double, int64, bool (stored as uint8_t) or string. Strings only
+// occur in event, trace and profile series. The first value written fixes
+// the column's type; a later value of another type is rejected for that
+// field only (InfluxDB 1.x's "field type conflict"): the point's other
+// fields and the batch's other points still land, and the write calls
+// return the number of rejected values. A float sample takes 16 B (8 B time
+// + 8 B value) before vector slack; a per-sample std::variant<double,
+// int64_t, bool, std::string> value would take 8 B + 40 B on libstdc++.
 //
 // Concurrency: each Database is partitioned into N lock-striped shards keyed
 // by series-key hash (measurement + tag set), so writes to different series
@@ -41,8 +50,10 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "lms/core/sync.hpp"
@@ -57,21 +68,34 @@ using lineproto::Point;
 using lineproto::Tag;
 using util::TimeNs;
 
-/// One timestamped value inside a field column.
-struct Sample {
-  TimeNs t = 0;
-  FieldValue v;
-};
-
-/// A field column: parallel (timestamp, value) vectors sorted by time.
+/// A field column: a sorted time vector and one typed value vector.
 class Column {
  public:
-  void append(TimeNs t, FieldValue v);
+  /// Value type of a column; the index of its vector in the value variant.
+  enum class Type : std::uint8_t { kFloat, kInt, kBool, kString };
+
+  /// Insert one sample in time order. The first value fixes the column's
+  /// type; a value of another type is not stored and returns false.
+  bool append(TimeNs t, const FieldValue& v);
   std::size_t size() const { return times_.size(); }
   bool empty() const { return times_.empty(); }
+  Type type() const { return static_cast<Type>(values_.index()); }
+  bool is_numeric() const { return type() == Type::kFloat || type() == Type::kInt; }
 
   const std::vector<TimeNs>& times() const { return times_; }
-  const std::vector<FieldValue>& values() const { return values_; }
+  /// Typed views; empty unless the column has that type.
+  std::span<const double> floats() const { return view<double>(); }
+  std::span<const std::int64_t> ints() const { return view<std::int64_t>(); }
+  std::span<const std::uint8_t> bools() const { return view<std::uint8_t>(); }
+  std::span<const std::string> strings() const { return view<std::string>(); }
+
+  /// Sample i of a numeric column as a double (ints widened).
+  double number_at(std::size_t i) const {
+    return type() == Type::kFloat ? floats()[i] : static_cast<double>(ints()[i]);
+  }
+  /// Sample i boxed as a FieldValue, for generic readers (persistence,
+  /// first()/last() and raw query cells).
+  FieldValue value_at(std::size_t i) const;
 
   /// Index of the first sample with time >= t.
   std::size_t lower_bound(TimeNs t) const;
@@ -80,8 +104,18 @@ class Column {
   std::size_t drop_before(TimeNs cutoff);
 
  private:
+  static constexpr std::size_t kInitialCapacity = 16;  ///< numeric/bool columns
+
+  template <typename T>
+  std::span<const T> view() const {
+    const auto* v = std::get_if<std::vector<T>>(&values_);
+    return v != nullptr ? std::span<const T>(*v) : std::span<const T>();
+  }
+
   std::vector<TimeNs> times_;
-  std::vector<FieldValue> values_;
+  std::variant<std::vector<double>, std::vector<std::int64_t>, std::vector<std::uint8_t>,
+               std::vector<std::string>>
+      values_;
 };
 
 /// A series: one measurement + unique sorted tag set.
@@ -173,14 +207,16 @@ class Database {
   std::size_t shard_of_key(std::string_view measurement, const std::vector<Tag>& tags) const;
 
   /// Ingest one normalized point. Points with timestamp 0 get `default_time`.
-  void write(const Point& point, TimeNs default_time);
+  /// Returns the number of field values rejected for a type conflict.
+  std::size_t write(const Point& point, TimeNs default_time);
 
   /// Ingest a batch: points are bucketed per shard first, so each stripe is
   /// locked exactly once per batch. Non-zero timestamps are multiplied by
   /// `timestamp_scale` (precision handling); zero timestamps get
-  /// `default_time` unscaled.
-  void write_batch(const std::vector<Point>& points, TimeNs default_time,
-                   TimeNs timestamp_scale = 1);
+  /// `default_time` unscaled. Returns the number of field values rejected
+  /// for a type conflict (their points' other fields still land).
+  std::size_t write_batch(const std::vector<Point>& points, TimeNs default_time,
+                          TimeNs timestamp_scale = 1);
 
   /// Attach (or detach with nullptr) the scheduler used for contended-write
   /// offload — see the header comment. Call before concurrent writers start;
@@ -243,7 +279,8 @@ class Database {
     const std::vector<const Point*>* bucket = nullptr;
     TimeNs default_time = 0;
     TimeNs timestamp_scale = 1;
-    bool done = false;  // guarded by the shard's stage_mu
+    std::size_t rejected = 0;  // set by the drain before `done`
+    bool done = false;         // guarded by the shard's stage_mu
   };
 
   struct Shard {
@@ -265,9 +302,10 @@ class Database {
   };
 
   std::size_t shard_of(const Point& point) const;
-  void write_into(Shard& shard, const Point& point, TimeNs t) const;
+  /// Returns the number of field values rejected for a type conflict.
+  std::size_t write_into(Shard& shard, const Point& point, TimeNs t) const;
   /// Apply one bucketed group; the caller holds the stripe exclusively.
-  void apply_group(Shard& shard, const StagedGroup& group) const;
+  std::size_t apply_group(Shard& shard, const StagedGroup& group) const;
   /// Drain task body: apply every staged group of `shard` under one stripe
   /// acquisition, repeat until the staging buffer is empty.
   void drain_stage(Shard& shard);
@@ -306,11 +344,13 @@ class Storage {
   /// concurrent writers start; the scheduler must outlive all writes.
   void set_scheduler(core::TaskScheduler* sched);
 
-  /// Apply a write batch (database created on demand).
-  void write(const WriteBatch& batch);
+  /// Apply a write batch (database created on demand). Returns the number of
+  /// field values rejected for a type conflict.
+  std::size_t write(const WriteBatch& batch);
 
   /// Convenience: write `points` into `db` at ns precision.
-  void write(const std::string& db, const std::vector<Point>& points, TimeNs default_time);
+  std::size_t write(const std::string& db, const std::vector<Point>& points,
+                    TimeNs default_time);
 
   std::vector<std::string> databases() const;
 

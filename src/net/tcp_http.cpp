@@ -108,13 +108,13 @@ void TcpHttpServer::stop() {
     ::close(fd);
   }
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> workers;
+  std::list<Worker> workers;
   {
     const core::sync::LockGuard lock(workers_mu_);
     workers.swap(workers_);
   }
-  for (auto& t : workers) {
-    if (t.joinable()) t.join();
+  for (auto& w : workers) {
+    if (w.thread.joinable()) w.thread.join();
   }
 }
 
@@ -144,16 +144,21 @@ void TcpHttpServer::accept_loop() {
     }
     active_connections_.fetch_add(1);
     const core::sync::LockGuard lock(workers_mu_);
-    // Reap finished workers opportunistically to bound the vector.
-    if (workers_.size() > 2 * options_.max_connections) {
-      for (auto& t : workers_) {
-        if (t.joinable()) t.join();
+    // Reap finished workers only: joining a live keep-alive connection here
+    // would stall every accept behind that connection's socket timeout.
+    for (auto it = workers_.begin(); it != workers_.end();) {
+      if (it->done.load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = workers_.erase(it);
+      } else {
+        ++it;
       }
-      workers_.clear();
     }
-    workers_.emplace_back([this, fd] {
+    Worker& w = workers_.emplace_back();
+    w.thread = std::thread([this, fd, &w] {
       serve_connection(fd);
       active_connections_.fetch_sub(1);
+      w.done.store(true, std::memory_order_release);
     });
   }
 }

@@ -69,6 +69,7 @@ HttpApi::HttpApi(Storage& storage, const util::Clock& clock, Options options)
       write_requests_(registry_->counter("tsdb_write_requests")),
       query_requests_(registry_->counter("tsdb_query_requests")),
       parse_errors_(registry_->counter("tsdb_parse_errors")),
+      type_conflicts_(registry_->counter("tsdb_field_type_conflicts")),
       slow_queries_(registry_->counter("tsdb_slow_queries")),
       series_scanned_(registry_->counter("tsdb_query_series_scanned")),
       points_examined_(registry_->counter("tsdb_query_points_examined")),
@@ -149,10 +150,15 @@ net::HttpResponse HttpApi::handle_write(const net::HttpRequest& req) {
     span.set_ok(false);
     return unknown_db_response(parsed->batch.db);
   }
-  storage_.write(parsed->batch);
+  const std::size_t conflicts = storage_.write(parsed->batch);
   points_written_.inc(parsed->batch.points.size());
   if (!parsed->errors.empty()) {
     LMS_WARN("tsdb") << parsed->errors.size() << " malformed lines dropped in /write";
+  }
+  if (conflicts > 0) {
+    // Lenient like malformed lines: the rest of the batch landed, so 204.
+    type_conflicts_.inc(conflicts);
+    LMS_WARN("tsdb") << conflicts << " field values dropped in /write: field type conflict";
   }
   write_ns_.record_since(t0);
   return net::HttpResponse::no_content();

@@ -28,7 +28,7 @@ std::string dump_database(const Database& db) {
             p.timestamp = t;
             it = points.emplace(t, std::move(p)).first;
           }
-          it->second.add_field(field, column.values()[i]);
+          it->second.add_field(field, column.value_at(i));
         }
       }
       for (const auto& [t, p] : points) {

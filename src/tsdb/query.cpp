@@ -4,11 +4,31 @@
 #include <cctype>
 #include <cmath>
 #include <map>
+#include <set>
+#include <utility>
 
 #include "lms/json/json.hpp"
 #include "lms/util/strings.hpp"
 
 namespace lms::tsdb {
+
+namespace {
+
+struct DurationUnit {
+  TimeNs mult;
+  std::string_view name;
+};
+/// Largest first: format_duration_literal picks the first exact divisor.
+constexpr DurationUnit kDurationUnits[] = {{7 * 24 * util::kNanosPerHour, "w"},
+                                           {24 * util::kNanosPerHour, "d"},
+                                           {util::kNanosPerHour, "h"},
+                                           {util::kNanosPerMinute, "m"},
+                                           {util::kNanosPerSecond, "s"},
+                                           {util::kNanosPerMilli, "ms"},
+                                           {util::kNanosPerMicro, "us"},
+                                           {1, "ns"}};
+
+}  // namespace
 
 util::Result<TimeNs> parse_duration(std::string_view text) {
   if (text.empty()) return util::Result<TimeNs>::error("empty duration");
@@ -21,29 +41,13 @@ util::Result<TimeNs> parse_duration(std::string_view text) {
     const auto num = util::parse_int64(text.substr(i, j - i));
     if (!num) return util::Result<TimeNs>::error("bad duration '" + std::string(text) + "'");
     std::size_t k = j;
-    while (k < text.size() && (std::isalpha(static_cast<unsigned char>(text[k])) != 0 ||
-                               text[k] == 'u')) {
-      ++k;
-    }
-    const std::string_view unit = text.substr(j, k - j);
+    while (k < text.size() && std::isalpha(static_cast<unsigned char>(text[k])) != 0) ++k;
+    const std::string_view unit = text.substr(j, k - j) == "u" ? "us" : text.substr(j, k - j);
     TimeNs mult = 0;
-    if (unit == "ns") {
-      mult = 1;
-    } else if (unit == "u" || unit == "us") {
-      mult = util::kNanosPerMicro;
-    } else if (unit == "ms") {
-      mult = util::kNanosPerMilli;
-    } else if (unit == "s") {
-      mult = util::kNanosPerSecond;
-    } else if (unit == "m") {
-      mult = util::kNanosPerMinute;
-    } else if (unit == "h") {
-      mult = util::kNanosPerHour;
-    } else if (unit == "d") {
-      mult = 24 * util::kNanosPerHour;
-    } else if (unit == "w") {
-      mult = 7 * 24 * util::kNanosPerHour;
-    } else {
+    for (const auto& u : kDurationUnits) {
+      if (u.name == unit) mult = u.mult;
+    }
+    if (mult == 0) {
       return util::Result<TimeNs>::error("bad duration unit '" + std::string(unit) + "'");
     }
     total += *num * mult;
@@ -53,21 +57,9 @@ util::Result<TimeNs> parse_duration(std::string_view text) {
 }
 
 std::string format_duration_literal(TimeNs ns) {
-  struct Unit {
-    TimeNs mult;
-    const char* name;
-  };
-  static constexpr Unit kUnits[] = {{7 * 24 * util::kNanosPerHour, "w"},
-                                    {24 * util::kNanosPerHour, "d"},
-                                    {util::kNanosPerHour, "h"},
-                                    {util::kNanosPerMinute, "m"},
-                                    {util::kNanosPerSecond, "s"},
-                                    {util::kNanosPerMilli, "ms"},
-                                    {util::kNanosPerMicro, "us"},
-                                    {1, "ns"}};
-  for (const auto& u : kUnits) {
+  for (const auto& u : kDurationUnits) {
     if (ns >= u.mult && ns % u.mult == 0) {
-      return std::to_string(ns / u.mult) + u.name;
+      return std::to_string(ns / u.mult) + std::string(u.name);
     }
   }
   return std::to_string(ns) + "ns";
@@ -188,56 +180,31 @@ Result<Statement> parse_error(std::string why) {
   return Result<Statement>::error("query: " + std::move(why));
 }
 
+struct AggregatorName {
+  Aggregator agg;
+  std::string_view name;
+};
+constexpr AggregatorName kAggregatorNames[] = {
+    {Aggregator::kMean, "mean"},              {Aggregator::kSum, "sum"},
+    {Aggregator::kMin, "min"},                {Aggregator::kMax, "max"},
+    {Aggregator::kCount, "count"},            {Aggregator::kFirst, "first"},
+    {Aggregator::kLast, "last"},              {Aggregator::kStddev, "stddev"},
+    {Aggregator::kMedian, "median"},          {Aggregator::kSpread, "spread"},
+    {Aggregator::kPercentile, "percentile"},  {Aggregator::kDerivative, "derivative"},
+    {Aggregator::kRate, "rate"}};
+
 std::optional<Aggregator> aggregator_from_name(std::string_view name) {
-  const std::string n = util::to_lower(name);
-  if (n == "mean") return Aggregator::kMean;
-  if (n == "sum") return Aggregator::kSum;
-  if (n == "min") return Aggregator::kMin;
-  if (n == "max") return Aggregator::kMax;
-  if (n == "count") return Aggregator::kCount;
-  if (n == "first") return Aggregator::kFirst;
-  if (n == "last") return Aggregator::kLast;
-  if (n == "stddev") return Aggregator::kStddev;
-  if (n == "median") return Aggregator::kMedian;
-  if (n == "spread") return Aggregator::kSpread;
-  if (n == "percentile") return Aggregator::kPercentile;
-  if (n == "derivative") return Aggregator::kDerivative;
-  if (n == "rate") return Aggregator::kRate;
+  for (const auto& [agg, n] : kAggregatorNames) {
+    if (util::iequals(name, n)) return agg;
+  }
   return std::nullopt;
 }
 
 std::string aggregator_name(Aggregator a) {
-  switch (a) {
-    case Aggregator::kMean:
-      return "mean";
-    case Aggregator::kSum:
-      return "sum";
-    case Aggregator::kMin:
-      return "min";
-    case Aggregator::kMax:
-      return "max";
-    case Aggregator::kCount:
-      return "count";
-    case Aggregator::kFirst:
-      return "first";
-    case Aggregator::kLast:
-      return "last";
-    case Aggregator::kStddev:
-      return "stddev";
-    case Aggregator::kMedian:
-      return "median";
-    case Aggregator::kSpread:
-      return "spread";
-    case Aggregator::kPercentile:
-      return "percentile";
-    case Aggregator::kDerivative:
-      return "derivative";
-    case Aggregator::kRate:
-      return "rate";
-    case Aggregator::kNone:
-      return "value";
+  for (const auto& [agg, n] : kAggregatorNames) {
+    if (agg == a) return std::string(n);
   }
-  return "value";
+  return "value";  // kNone
 }
 
 /// Parse a time operand: integer ns, or now() [- duration].
@@ -250,9 +217,7 @@ Result<TimeNs> parse_time_operand(Lexer& lex, TimeNs now) {
       if (!v) return Result<TimeNs>::error("bad time literal '" + t.text + "'");
       return *v;
     }
-    auto d = parse_duration(t.text);
-    if (!d.ok()) return d;
-    return d;
+    return parse_duration(t.text);
   }
   if (lex.peek().kind == TokKind::kIdent && util::iequals(lex.peek().text, "now")) {
     lex.next();
@@ -260,24 +225,16 @@ Result<TimeNs> parse_time_operand(Lexer& lex, TimeNs now) {
       return Result<TimeNs>::error("expected now()");
     }
     TimeNs t = now;
-    while (true) {
-      if (lex.accept_punct("-")) {
-        if (lex.peek().kind != TokKind::kNumber) {
-          return Result<TimeNs>::error("expected duration after now() -");
-        }
-        auto d = parse_duration(lex.next().text);
-        if (!d.ok()) return d;
-        t -= *d;
-      } else if (lex.accept_punct("+")) {
-        if (lex.peek().kind != TokKind::kNumber) {
-          return Result<TimeNs>::error("expected duration after now() +");
-        }
-        auto d = parse_duration(lex.next().text);
-        if (!d.ok()) return d;
-        t += *d;
-      } else {
-        break;
+    for (;;) {
+      const bool minus = lex.accept_punct("-");
+      if (!minus && !lex.accept_punct("+")) break;
+      if (lex.peek().kind != TokKind::kNumber) {
+        return Result<TimeNs>::error(std::string("expected duration after now() ") +
+                                     (minus ? "-" : "+"));
       }
+      auto d = parse_duration(lex.next().text);
+      if (!d.ok()) return d;
+      t += minus ? -*d : *d;
     }
     return t;
   }
@@ -547,10 +504,6 @@ bool is_null_cell(const FieldValue& v) { return v.is_string() && v.as_string() =
 
 namespace {
 
-struct SamplesView {
-  std::vector<Sample> samples;  // merged, sorted by time
-};
-
 /// Accumulates scan statistics across the (possibly glob-expanded) selects
 /// of one statement; the shard set dedups stripes across measurements.
 struct StatsCollector {
@@ -558,13 +511,19 @@ struct StatsCollector {
   std::set<std::size_t> shards;
 };
 
-/// Merge samples of `field` from all series in `group` within [tmin, tmax).
-/// `points_examined` counts the gathered samples (also in count-only mode,
-/// where nothing is materialized — the EXPLAIN path).
-SamplesView gather(const std::vector<const Series*>& group, const std::string& field,
-                   std::optional<TimeNs> tmin, std::optional<TimeNs> tmax,
-                   std::uint64_t* points_examined, bool materialize = true) {
-  SamplesView out;
+/// The [lower_bound(tmin), lower_bound(tmax)) range of one series' column.
+struct Slice {
+  const Column* col;
+  std::size_t begin;
+  std::size_t end;
+};
+
+/// Slices of `field` across the series of `group`; `points_examined` counts
+/// the samples inside them (also on the EXPLAIN path, which stops here).
+std::vector<Slice> gather(const std::vector<const Series*>& group, const std::string& field,
+                          std::optional<TimeNs> tmin, std::optional<TimeNs> tmax,
+                          std::uint64_t* points_examined) {
+  std::vector<Slice> out;
   for (const Series* s : group) {
     const auto cit = s->columns.find(field);
     if (cit == s->columns.end()) continue;
@@ -572,142 +531,212 @@ SamplesView gather(const std::vector<const Series*>& group, const std::string& f
     const std::size_t begin = tmin ? col.lower_bound(*tmin) : 0;
     const std::size_t end = tmax ? col.lower_bound(*tmax) : col.size();
     if (points_examined != nullptr) *points_examined += end - begin;
-    if (!materialize) continue;
-    for (std::size_t i = begin; i < end; ++i) {
-      out.samples.push_back(Sample{col.times()[i], col.values()[i]});
-    }
-  }
-  std::sort(out.samples.begin(), out.samples.end(),
-            [](const Sample& a, const Sample& b) { return a.t < b.t; });
-  return out;
-}
-
-std::vector<double> numeric_values(const std::vector<Sample>& samples) {
-  std::vector<double> out;
-  out.reserve(samples.size());
-  for (const auto& s : samples) {
-    if (s.v.is_numeric()) out.push_back(s.v.as_double());
+    if (begin < end) out.push_back(Slice{&col, begin, end});
   }
   return out;
 }
 
-std::optional<FieldValue> apply_aggregator(Aggregator agg, double param,
-                                           const std::vector<Sample>& samples) {
-  if (samples.empty()) return std::nullopt;
-  switch (agg) {
-    case Aggregator::kCount:
-      return FieldValue(static_cast<std::int64_t>(samples.size()));
-    case Aggregator::kFirst:
-      return samples.front().v;
-    case Aggregator::kLast:
-      return samples.back().v;
-    default:
-      break;
+/// Visit every sample of `slices` in time order as fn(t, column, index). A
+/// single slice is walked directly; several are k-way merged by time, equal
+/// times in group order.
+template <typename Fn>
+void walk(const std::vector<Slice>& slices, Fn&& fn) {
+  if (slices.size() == 1) {
+    const Slice& s = slices.front();
+    const std::vector<TimeNs>& times = s.col->times();
+    for (std::size_t i = s.begin; i < s.end; ++i) fn(times[i], *s.col, i);
+    return;
   }
-  std::vector<double> vals = numeric_values(samples);
-  if (vals.empty()) return std::nullopt;
-  switch (agg) {
-    case Aggregator::kMean: {
-      double sum = 0;
-      for (const double v : vals) sum += v;
-      return FieldValue(sum / static_cast<double>(vals.size()));
+  std::vector<Slice> cursors = slices;  // begin advances as the cursor
+  using Head = std::pair<TimeNs, std::size_t>;  // (next time, slice index)
+  std::vector<Head> heap;
+  heap.reserve(cursors.size());
+  for (std::size_t k = 0; k < cursors.size(); ++k) {
+    heap.emplace_back(cursors[k].col->times()[cursors[k].begin], k);
+  }
+  const auto later = [](const Head& a, const Head& b) { return a > b; };
+  std::make_heap(heap.begin(), heap.end(), later);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    auto& [t, k] = heap.back();
+    Slice& s = cursors[k];
+    fn(t, *s.col, s.begin);
+    if (++s.begin < s.end) {
+      t = s.col->times()[s.begin];
+      std::push_heap(heap.begin(), heap.end(), later);
+    } else {
+      heap.pop_back();
     }
-    case Aggregator::kSum: {
-      double sum = 0;
-      for (const double v : vals) sum += v;
-      return FieldValue(sum);
-    }
-    case Aggregator::kMin:
-      return FieldValue(*std::min_element(vals.begin(), vals.end()));
-    case Aggregator::kMax:
-      return FieldValue(*std::max_element(vals.begin(), vals.end()));
-    case Aggregator::kSpread: {
-      const auto [mn, mx] = std::minmax_element(vals.begin(), vals.end());
-      return FieldValue(*mx - *mn);
-    }
-    case Aggregator::kStddev: {
-      if (vals.size() < 2) return FieldValue(0.0);
-      double sum = 0;
-      for (const double v : vals) sum += v;
-      const double mean = sum / static_cast<double>(vals.size());
-      double ss = 0;
-      for (const double v : vals) ss += (v - mean) * (v - mean);
-      return FieldValue(std::sqrt(ss / static_cast<double>(vals.size() - 1)));
-    }
-    case Aggregator::kMedian: {
-      std::sort(vals.begin(), vals.end());
-      const std::size_t n = vals.size();
-      return FieldValue(n % 2 == 1 ? vals[n / 2] : 0.5 * (vals[n / 2 - 1] + vals[n / 2]));
-    }
-    case Aggregator::kPercentile: {
-      std::sort(vals.begin(), vals.end());
-      const double p = std::clamp(param, 0.0, 100.0);
-      // Nearest-rank.
-      const std::size_t rank = static_cast<std::size_t>(
-          std::ceil(p / 100.0 * static_cast<double>(vals.size())));
-      return FieldValue(vals[rank == 0 ? 0 : rank - 1]);
-    }
-    default:
-      return std::nullopt;
   }
 }
 
-/// Series of (time, value) per selected expression, post-aggregation.
-using ColumnSeries = std::map<TimeNs, FieldValue>;
+/// One window's running aggregate, fed in time order. Sums accumulate in
+/// that order, so results equal a sort-then-reduce evaluation bit for bit.
+/// Only median, percentile and stddev buffer values, in a vector reused
+/// across windows.
+class Accumulator {
+ public:
+  Accumulator(Aggregator agg, double param)
+      : agg_(agg),
+        param_(param),
+        buffered_(agg == Aggregator::kMedian || agg == Aggregator::kPercentile ||
+                  agg == Aggregator::kStddev) {}
 
-ColumnSeries evaluate_expr(const FieldExpr& fe, const SamplesView& view,
+  bool empty() const { return count_ == 0; }
+
+  void add(const Column& col, std::size_t i) {
+    if (count_++ == 0) {  // a new window
+      first_ = {&col, i};
+      numeric_ = 0;
+      sum_ = 0;
+      vals_.clear();
+    }
+    last_ = {&col, i};
+    if (!col.is_numeric()) return;
+    const double v = col.number_at(i);
+    if (numeric_++ == 0) {
+      min_ = max_ = v;
+    } else {
+      if (v < min_) min_ = v;
+      if (max_ < v) max_ = v;
+    }
+    sum_ += v;
+    if (buffered_) vals_.push_back(v);
+  }
+
+  /// Close the window: its value, or nullopt when no sample qualifies.
+  std::optional<FieldValue> take() {
+    const std::size_t count = std::exchange(count_, 0);
+    if (count == 0) return std::nullopt;
+    switch (agg_) {
+      case Aggregator::kCount:
+        return FieldValue(static_cast<std::int64_t>(count));
+      case Aggregator::kFirst:
+        return first_.first->value_at(first_.second);
+      case Aggregator::kLast:
+        return last_.first->value_at(last_.second);
+      default:
+        break;
+    }
+    if (numeric_ == 0) return std::nullopt;
+    const auto n = static_cast<double>(numeric_);
+    switch (agg_) {
+      case Aggregator::kMean:
+        return FieldValue(sum_ / n);
+      case Aggregator::kSum:
+        return FieldValue(sum_);
+      case Aggregator::kMin:
+        return FieldValue(min_);
+      case Aggregator::kMax:
+        return FieldValue(max_);
+      case Aggregator::kSpread:
+        return FieldValue(max_ - min_);
+      case Aggregator::kStddev: {
+        if (numeric_ < 2) return FieldValue(0.0);
+        const double mean = sum_ / n;
+        double ss = 0;
+        for (const double v : vals_) ss += (v - mean) * (v - mean);
+        return FieldValue(std::sqrt(ss / (n - 1)));
+      }
+      case Aggregator::kMedian: {
+        std::sort(vals_.begin(), vals_.end());
+        const std::size_t m = vals_.size();
+        return FieldValue(m % 2 == 1 ? vals_[m / 2] : 0.5 * (vals_[m / 2 - 1] + vals_[m / 2]));
+      }
+      case Aggregator::kPercentile: {
+        std::sort(vals_.begin(), vals_.end());
+        const double p = std::clamp(param_, 0.0, 100.0);
+        // Nearest-rank.
+        const auto rank = static_cast<std::size_t>(std::ceil(p / 100.0 * n));
+        return FieldValue(vals_[rank == 0 ? 0 : rank - 1]);
+      }
+      default:
+        return std::nullopt;
+    }
+  }
+
+ private:
+  Aggregator agg_;
+  double param_;
+  bool buffered_;
+  std::size_t count_ = 0;
+  std::size_t numeric_ = 0;
+  std::pair<const Column*, std::size_t> first_{nullptr, 0};
+  std::pair<const Column*, std::size_t> last_{nullptr, 0};
+  double sum_ = 0;
+  double min_ = 0;
+  double max_ = 0;
+  std::vector<double> vals_;
+};
+
+/// Reduce the slices with `acc` in one pass: one value per GROUP BY time()
+/// window, or one for the whole range (stamped at its first sample) when
+/// `dur` is unset. Calls emit(window_start, value) in time order.
+template <typename Emit>
+void reduce(const std::vector<Slice>& slices, std::optional<TimeNs> dur, Accumulator& acc,
+            Emit&& emit) {
+  TimeNs start = 0;
+  const auto flush = [&] {
+    if (auto v = acc.take()) emit(start, std::move(*v));
+  };
+  walk(slices, [&](TimeNs t, const Column& col, std::size_t i) {
+    const TimeNs key = dur ? (t / *dur) * *dur : (acc.empty() ? t : start);
+    if (!acc.empty() && key != start) flush();
+    start = key;
+    acc.add(col, i);
+  });
+  if (!acc.empty()) flush();
+}
+
+/// One selected expression's (time, value) rows: ascending, unique times.
+using ColumnSeries = std::vector<std::pair<TimeNs, FieldValue>>;
+
+ColumnSeries evaluate_expr(const FieldExpr& fe, const std::vector<Slice>& slices,
                            const SelectStatement& sel) {
   ColumnSeries out;
-  const auto& samples = view.samples;
-  if (fe.agg == Aggregator::kDerivative || fe.agg == Aggregator::kRate) {
-    // First reduce to one value per point (window-mean when grouped).
-    std::vector<Sample> base;
-    if (sel.group_by_time) {
-      const TimeNs dur = *sel.group_by_time;
-      std::map<TimeNs, std::vector<Sample>> windows;
-      for (const auto& s : samples) {
-        windows[(s.t / dur) * dur].push_back(s);
+  if (fe.agg == Aggregator::kNone) {
+    walk(slices, [&](TimeNs t, const Column& col, std::size_t i) {
+      if (!out.empty() && out.back().first == t) {
+        out.back().second = col.value_at(i);  // duplicate time: last wins
+      } else {
+        out.emplace_back(t, col.value_at(i));
       }
-      for (const auto& [start, ws] : windows) {
-        if (auto v = apply_aggregator(Aggregator::kMean, 0, ws)) {
-          base.push_back(Sample{start, *v});
+    });
+    return out;
+  }
+  if (fe.agg == Aggregator::kDerivative || fe.agg == Aggregator::kRate) {
+    // Differences of consecutive base values: the numeric samples, or the
+    // window means when grouped by time.
+    const TimeNs unit = fe.unit > 0 ? fe.unit : util::kNanosPerSecond;
+    std::optional<std::pair<TimeNs, double>> prev;
+    const auto base = [&](TimeNs t, double v) {
+      if (prev) {
+        const double dt_units =
+            static_cast<double>(t - prev->first) / static_cast<double>(unit);
+        if (dt_units > 0) {
+          double d = (v - prev->second) / dt_units;
+          if (fe.agg == Aggregator::kRate && d < 0) d = 0;
+          out.emplace_back(t, FieldValue(d));
         }
       }
+      prev.emplace(t, v);
+    };
+    if (sel.group_by_time) {
+      Accumulator mean(Aggregator::kMean, 0);
+      reduce(slices, sel.group_by_time, mean,
+             [&](TimeNs t, const FieldValue& v) { base(t, v.as_double()); });
     } else {
-      for (const auto& s : samples) {
-        if (s.v.is_numeric()) base.push_back(s);
-      }
-    }
-    const TimeNs unit = fe.unit > 0 ? fe.unit : util::kNanosPerSecond;
-    for (std::size_t i = 1; i < base.size(); ++i) {
-      const double dt_units =
-          static_cast<double>(base[i].t - base[i - 1].t) / static_cast<double>(unit);
-      if (dt_units <= 0) continue;
-      double d = (base[i].v.as_double() - base[i - 1].v.as_double()) / dt_units;
-      if (fe.agg == Aggregator::kRate && d < 0) d = 0;
-      out[base[i].t] = FieldValue(d);
+      walk(slices, [&](TimeNs t, const Column& col, std::size_t i) {
+        if (col.is_numeric()) base(t, col.number_at(i));
+      });
     }
     return out;
   }
-  if (fe.agg == Aggregator::kNone) {
-    for (const auto& s : samples) out[s.t] = s.v;
-    return out;
-  }
-  if (sel.group_by_time) {
-    const TimeNs dur = *sel.group_by_time;
-    std::map<TimeNs, std::vector<Sample>> windows;
-    for (const auto& s : samples) {
-      windows[(s.t / dur) * dur].push_back(s);
-    }
-    for (const auto& [start, ws] : windows) {
-      if (auto v = apply_aggregator(fe.agg, fe.param, ws)) out[start] = *v;
-    }
-    return out;
-  }
-  // Whole-range aggregate: single row stamped at the range start.
-  if (auto v = apply_aggregator(fe.agg, fe.param, samples)) {
-    out[sel.time_min.value_or(samples.empty() ? 0 : samples.front().t)] = *v;
-  }
+  Accumulator acc(fe.agg, fe.param);
+  reduce(slices, sel.group_by_time, acc, [&](TimeNs t, FieldValue v) {
+    // A whole-range aggregate is stamped at the range start when bounded.
+    out.emplace_back(sel.group_by_time ? t : sel.time_min.value_or(t), std::move(v));
+  });
   return out;
 }
 
@@ -729,39 +758,35 @@ ResultSeries build_result_series(const SelectStatement& sel, const std::string& 
       row_times.push_back(t);
     }
   } else {
-    std::set<TimeNs> keys;
     for (const auto& col : columns) {
-      for (const auto& [t, _] : col) keys.insert(t);
+      for (const auto& [t, _] : col) row_times.push_back(t);
     }
-    row_times.assign(keys.begin(), keys.end());
+    std::sort(row_times.begin(), row_times.end());
+    row_times.erase(std::unique(row_times.begin(), row_times.end()), row_times.end());
   }
 
+  // Rows and columns are both time-ascending: one cursor per column.
+  std::vector<std::size_t> cursor(columns.size(), 0);
   std::vector<FieldValue> previous(columns.size(), FieldValue(0.0));
-  std::vector<bool> has_previous(columns.size(), false);
   for (const TimeNs t : row_times) {
     std::vector<FieldValue> row;
     row.reserve(columns.size() + 1);
     row.emplace_back(static_cast<std::int64_t>(t));
     bool any = false;
     for (std::size_t c = 0; c < columns.size(); ++c) {
-      const auto it = columns[c].find(t);
-      if (it != columns[c].end()) {
-        row.push_back(it->second);
-        previous[c] = it->second;
-        has_previous[c] = true;
+      const ColumnSeries& col = columns[c];
+      std::size_t& k = cursor[c];
+      while (k < col.size() && col[k].first < t) ++k;
+      if (k < col.size() && col[k].first == t) {
+        row.push_back(col[k].second);
+        previous[c] = col[k].second;
         any = true;
+      } else if (sel.fill == FillMode::kZero) {
+        row.emplace_back(0.0);
+      } else if (sel.fill == FillMode::kPrevious) {
+        row.push_back(previous[c]);
       } else {
-        switch (sel.fill) {
-          case FillMode::kZero:
-            row.emplace_back(0.0);
-            break;
-          case FillMode::kPrevious:
-            row.push_back(has_previous[c] ? previous[c] : FieldValue(0.0));
-            break;
-          default:
-            row.push_back(null_cell());
-            break;
-        }
+        row.push_back(null_cell());
       }
     }
     if (!any && sel.fill == FillMode::kNone) continue;
@@ -828,10 +853,10 @@ util::Result<QueryResult> execute_select(const Database& db, const SelectStateme
     std::vector<ColumnSeries> columns;
     columns.reserve(sel.fields.size());
     for (const auto& fe : sel.fields) {
-      const SamplesView view = gather(group_series, fe.field, sel.time_min, sel.time_max,
-                                      points_counter, /*materialize=*/!explain_only);
+      const std::vector<Slice> slices =
+          gather(group_series, fe.field, sel.time_min, sel.time_max, points_counter);
       if (explain_only) continue;
-      columns.push_back(evaluate_expr(fe, view, sel));
+      columns.push_back(evaluate_expr(fe, slices, sel));
     }
     if (explain_only) continue;
     ResultSeries rs = build_result_series(sel, sel.measurement, group_tags, columns);
@@ -840,15 +865,14 @@ util::Result<QueryResult> execute_select(const Database& db, const SelectStateme
   return result;
 }
 
-ResultSeries single_column_series(std::string name, std::string column,
-                                  const std::vector<std::string>& values) {
-  ResultSeries rs;
+QueryResult single_column_result(std::string name, std::string column,
+                                 const std::vector<std::string>& values) {
+  QueryResult r;
+  ResultSeries& rs = r.series.emplace_back();
   rs.name = std::move(name);
   rs.columns.push_back(std::move(column));
-  for (const auto& v : values) {
-    rs.values.push_back({FieldValue(v)});
-  }
-  return rs;
+  for (const auto& v : values) rs.values.push_back({FieldValue(v)});
+  return r;
 }
 
 }  // namespace
@@ -884,11 +908,8 @@ util::Result<QueryResult> execute(const Database& db, const Statement& stmt,
       }
       return finish(execute_select(db, stmt.select, sc, stmt.explain));
     }
-    case StatementKind::kShowMeasurements: {
-      QueryResult r;
-      r.series.push_back(single_column_series("measurements", "name", db.measurements()));
-      return r;
-    }
+    case StatementKind::kShowMeasurements:
+      return single_column_result("measurements", "name", db.measurements());
     case StatementKind::kShowSeries: {
       std::vector<std::string> keys;
       const std::vector<std::string> measurements =
@@ -897,35 +918,20 @@ util::Result<QueryResult> execute(const Database& db, const Statement& stmt,
       for (const auto& m : measurements) {
         for (const Series* s : db.series_of(m)) {
           std::string key = s->measurement;
-          for (const auto& [k, v] : s->tags) {
-            key += "," + k + "=" + v;
-          }
+          for (const auto& [k, v] : s->tags) key += "," + k + "=" + v;
           keys.push_back(std::move(key));
         }
       }
       std::sort(keys.begin(), keys.end());
-      QueryResult r;
-      r.series.push_back(single_column_series("series", "key", keys));
-      return r;
+      return single_column_result("series", "key", keys);
     }
-    case StatementKind::kShowFieldKeys: {
-      QueryResult r;
-      r.series.push_back(
-          single_column_series(stmt.measurement, "fieldKey", db.field_keys(stmt.measurement)));
-      return r;
-    }
-    case StatementKind::kShowTagKeys: {
-      QueryResult r;
-      r.series.push_back(
-          single_column_series(stmt.measurement, "tagKey", db.tag_keys(stmt.measurement)));
-      return r;
-    }
-    case StatementKind::kShowTagValues: {
-      QueryResult r;
-      r.series.push_back(single_column_series(
-          stmt.measurement, "value", db.tag_values(stmt.measurement, stmt.with_key)));
-      return r;
-    }
+    case StatementKind::kShowFieldKeys:
+      return single_column_result(stmt.measurement, "fieldKey", db.field_keys(stmt.measurement));
+    case StatementKind::kShowTagKeys:
+      return single_column_result(stmt.measurement, "tagKey", db.tag_keys(stmt.measurement));
+    case StatementKind::kShowTagValues:
+      return single_column_result(stmt.measurement, "value",
+                                  db.tag_values(stmt.measurement, stmt.with_key));
     case StatementKind::kShowDatabases:
       return util::Result<QueryResult>::error("SHOW DATABASES must be run via the Engine");
   }
@@ -945,15 +951,7 @@ util::Result<QueryResult> Engine::query(const std::string& db, std::string_view 
   auto stmt = parse_query(query_text, now);
   if (!stmt.ok()) return util::Result<QueryResult>::error(stmt.message());
   if (stmt->kind == StatementKind::kShowDatabases) {
-    QueryResult r;
-    ResultSeries rs;
-    rs.name = "databases";
-    rs.columns.push_back("name");
-    for (const auto& name : storage_.databases()) {
-      rs.values.push_back({FieldValue(name)});
-    }
-    r.series.push_back(std::move(rs));
-    return r;
+    return single_column_result("databases", "name", storage_.databases());
   }
   const ReadSnapshot snap = storage_.snapshot(db);
   if (!snap) {

@@ -2,20 +2,88 @@
 
 #include <algorithm>
 #include <thread>
+#include <type_traits>
 
 namespace lms::tsdb {
 
-void Column::append(TimeNs t, FieldValue v) {
-  if (times_.empty() || t >= times_.back()) {
-    times_.push_back(t);
-    values_.push_back(std::move(v));
-    return;
+namespace {
+
+Column::Type type_of(const FieldValue& v) {
+  if (v.is_double()) return Column::Type::kFloat;
+  if (v.is_int()) return Column::Type::kInt;
+  if (v.is_bool()) return Column::Type::kBool;
+  return Column::Type::kString;
+}
+
+template <typename T>
+T unbox(const FieldValue& v) {
+  if constexpr (std::is_same_v<T, double>) {
+    return v.as_double();
+  } else if constexpr (std::is_same_v<T, std::int64_t>) {
+    return v.as_int();
+  } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+    return v.as_bool() ? 1 : 0;
+  } else {
+    return v.as_string();
   }
-  // Out-of-order write: sorted insert (rare path).
-  const auto it = std::upper_bound(times_.begin(), times_.end(), t);
-  const auto idx = static_cast<std::size_t>(it - times_.begin());
+}
+
+}  // namespace
+
+bool Column::append(TimeNs t, const FieldValue& v) {
+  const Type type = type_of(v);
+  if (type != this->type()) {
+    if (!times_.empty()) return false;  // first type wins
+    switch (type) {
+      case Type::kFloat:
+        values_.emplace<0>();
+        break;
+      case Type::kInt:
+        values_.emplace<1>();
+        break;
+      case Type::kBool:
+        values_.emplace<2>();
+        break;
+      case Type::kString:
+        values_.emplace<3>();
+        break;
+    }
+  }
+  if (times_.empty() && type != Type::kString) {
+    // Start at 16 slots. Growing 1-2-4-8 frees tiny chunks, and allocating
+    // from a heap full of them makes new-series apply ~1.5x slower. Long
+    // columns end at the same capacity. String columns (spans, events) are
+    // short, so they keep plain growth.
+    times_.reserve(kInitialCapacity);
+    std::visit([](auto& values) { values.reserve(kInitialCapacity); }, values_);
+  }
+  // In-order append is the common case; out-of-order writes sort-insert.
+  const auto it = times_.empty() || t >= times_.back()
+                      ? times_.end()
+                      : std::upper_bound(times_.begin(), times_.end(), t);
+  const auto idx = it - times_.begin();
   times_.insert(it, t);
-  values_.insert(values_.begin() + static_cast<std::ptrdiff_t>(idx), std::move(v));
+  std::visit(
+      [&](auto& values) {
+        using T = typename std::decay_t<decltype(values)>::value_type;
+        values.insert(values.begin() + idx, unbox<T>(v));
+      },
+      values_);
+  return true;
+}
+
+FieldValue Column::value_at(std::size_t i) const {
+  switch (type()) {
+    case Type::kFloat:
+      return floats()[i];
+    case Type::kInt:
+      return ints()[i];
+    case Type::kBool:
+      return bools()[i] != 0;
+    case Type::kString:
+      return strings()[i];
+  }
+  return {};
 }
 
 std::size_t Column::lower_bound(TimeNs t) const {
@@ -26,8 +94,10 @@ std::size_t Column::lower_bound(TimeNs t) const {
 std::size_t Column::drop_before(TimeNs cutoff) {
   const std::size_t n = lower_bound(cutoff);
   if (n == 0) return 0;
-  times_.erase(times_.begin(), times_.begin() + static_cast<std::ptrdiff_t>(n));
-  values_.erase(values_.begin(), values_.begin() + static_cast<std::ptrdiff_t>(n));
+  const auto count = static_cast<std::ptrdiff_t>(n);
+  times_.erase(times_.begin(), times_.begin() + count);
+  std::visit([count](auto& values) { values.erase(values.begin(), values.begin() + count); },
+             values_);
   return n;
 }
 
@@ -125,7 +195,7 @@ std::size_t Database::shard_of_key(std::string_view measurement,
   return series_hash(measurement, tags) % shards_.size();
 }
 
-void Database::write_into(Shard& shard, const Point& point, TimeNs t) const {
+std::size_t Database::write_into(Shard& shard, const Point& point, TimeNs t) const {
   SeriesKey key{point.measurement, point.tags};
   auto it = shard.series.find(key);
   if (it == shard.series.end()) {
@@ -141,24 +211,28 @@ void Database::write_into(Shard& shard, const Point& point, TimeNs t) const {
     }
   }
   Series& s = *it->second;
+  std::size_t rejected = 0;
   for (const auto& [fk, fv] : point.fields) {
-    s.columns[fk].append(t, fv);
+    if (!s.columns[fk].append(t, fv)) ++rejected;
   }
+  return rejected;
 }
 
-void Database::write(const Point& point, TimeNs default_time) {
+std::size_t Database::write(const Point& point, TimeNs default_time) {
   Shard& shard = *shards_[shard_of(point)];
   const TimeNs t = point.timestamp != 0 ? point.timestamp : default_time;
   const core::sync::WriteLockGuard lock(shard.mu);
-  write_into(shard, point, t);
+  return write_into(shard, point, t);
 }
 
-void Database::apply_group(Shard& shard, const StagedGroup& group) const {
+std::size_t Database::apply_group(Shard& shard, const StagedGroup& group) const {
+  std::size_t rejected = 0;
   for (const Point* p : *group.bucket) {
     const TimeNs t =
         p->timestamp != 0 ? p->timestamp * group.timestamp_scale : group.default_time;
-    write_into(shard, *p, t);
+    rejected += write_into(shard, *p, t);
   }
+  return rejected;
 }
 
 void Database::drain_stage(Shard& shard) {
@@ -176,7 +250,7 @@ void Database::drain_stage(Shard& shard) {
       // The one blocking stripe acquisition on this path: every group staged
       // while the stripe was busy lands under it together.
       const core::sync::WriteLockGuard lock(shard.mu);
-      for (const StagedGroup* g : groups) apply_group(shard, *g);
+      for (StagedGroup* g : groups) g->rejected = apply_group(shard, *g);
     }
     {
       const core::sync::LockGuard lock(shard.stage_mu);
@@ -186,18 +260,19 @@ void Database::drain_stage(Shard& shard) {
   }
 }
 
-void Database::write_batch(const std::vector<Point>& points, TimeNs default_time,
-                           TimeNs timestamp_scale) {
-  if (points.empty()) return;
+std::size_t Database::write_batch(const std::vector<Point>& points, TimeNs default_time,
+                                  TimeNs timestamp_scale) {
+  if (points.empty()) return 0;
   if (timestamp_scale <= 0) timestamp_scale = 1;
+  std::size_t rejected = 0;
   if (shards_.size() == 1) {
     Shard& shard = *shards_[0];
     const core::sync::WriteLockGuard lock(shard.mu);
     for (const auto& p : points) {
       const TimeNs t = p.timestamp != 0 ? p.timestamp * timestamp_scale : default_time;
-      write_into(shard, p, t);
+      rejected += write_into(shard, p, t);
     }
-    return;
+    return rejected;
   }
   // Bucket per stripe so each stripe mutex is taken exactly once per batch.
   std::vector<std::vector<const Point*>> buckets(shards_.size());
@@ -225,14 +300,14 @@ void Database::write_batch(const std::vector<Point>& points, TimeNs default_time
       const core::sync::WriteLockGuard lock(shard.mu);
       for (const Point* p : buckets[i]) {
         const TimeNs t = p->timestamp != 0 ? p->timestamp * timestamp_scale : default_time;
-        write_into(shard, *p, t);
+        rejected += write_into(shard, *p, t);
       }
       continue;
     }
-    StagedGroup group{&buckets[i], default_time, timestamp_scale, false};
+    StagedGroup group{&buckets[i], default_time, timestamp_scale, 0, false};
     if (shard.mu.try_lock()) {
       // Uncontended stripe: apply inline, no convoy to join.
-      apply_group(shard, group);
+      rejected += apply_group(shard, group);
       shard.mu.unlock();
       continue;
     }
@@ -259,7 +334,9 @@ void Database::write_batch(const std::vector<Point>& points, TimeNs default_time
     Shard& shard = *staged_shards[i];
     core::sync::UniqueLock lock(shard.stage_mu);
     while (!staged[i].done) shard.stage_cv.wait(lock);
+    rejected += staged[i].rejected;
   }
+  return rejected;
 }
 
 std::vector<const Series*> Database::series_of(std::string_view measurement) const {
@@ -467,14 +544,14 @@ ReadSnapshot Storage::snapshot(const std::string& name) const {
   return db != nullptr ? ReadSnapshot(*db) : ReadSnapshot();
 }
 
-void Storage::write(const WriteBatch& batch) {
-  get_or_create(batch.db).write_batch(batch.points, batch.default_time,
-                                      batch.timestamp_scale);
+std::size_t Storage::write(const WriteBatch& batch) {
+  return get_or_create(batch.db).write_batch(batch.points, batch.default_time,
+                                             batch.timestamp_scale);
 }
 
-void Storage::write(const std::string& db, const std::vector<Point>& points,
-                    TimeNs default_time) {
-  get_or_create(db).write_batch(points, default_time, 1);
+std::size_t Storage::write(const std::string& db, const std::vector<Point>& points,
+                           TimeNs default_time) {
+  return get_or_create(db).write_batch(points, default_time, 1);
 }
 
 std::vector<std::string> Storage::databases() const {

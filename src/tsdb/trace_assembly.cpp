@@ -84,13 +84,14 @@ TraceTree assemble_trace(const ReadSnapshot& snapshot, std::uint64_t trace_id,
   for (const Series* s : snapshot->series_matching(measurement, required)) {
     const auto cit = s->columns.find("span");
     if (cit == s->columns.end()) continue;
-    for (const FieldValue& v : cit->second.values()) {
-      if (!v.is_string()) {
-        ++tree.malformed_spans;
-        continue;
-      }
+    const Column& spans = cit->second;
+    if (spans.type() != Column::Type::kString) {
+      tree.malformed_spans += spans.size();
+      continue;
+    }
+    for (const std::string& record : spans.strings()) {
       TraceNode node;
-      if (!decode_span(v.as_string(), node)) {
+      if (!decode_span(record, node)) {
         ++tree.malformed_spans;
         continue;
       }

@@ -77,11 +77,11 @@ TEST_F(AggregatorTest, EmitsJobLevelWindows) {
   const auto series = db->series_matching("likwid_mem_dp_job", {{"jobid", "9"}});
   ASSERT_EQ(series.size(), 1u);
   const auto& cols = series[0]->columns;
-  EXPECT_DOUBLE_EQ(cols.at("dp_mflop_per_s_sum").values()[0].as_double(), 10000.0);
-  EXPECT_DOUBLE_EQ(cols.at("dp_mflop_per_s_mean").values()[0].as_double(), 2500.0);
-  EXPECT_DOUBLE_EQ(cols.at("dp_mflop_per_s_min").values()[0].as_double(), 1000.0);
-  EXPECT_DOUBLE_EQ(cols.at("dp_mflop_per_s_max").values()[0].as_double(), 4000.0);
-  EXPECT_EQ(cols.at("dp_mflop_per_s_nodes").values()[0].as_int(), 4);
+  EXPECT_DOUBLE_EQ(cols.at("dp_mflop_per_s_sum").value_at(0).as_double(), 10000.0);
+  EXPECT_DOUBLE_EQ(cols.at("dp_mflop_per_s_mean").value_at(0).as_double(), 2500.0);
+  EXPECT_DOUBLE_EQ(cols.at("dp_mflop_per_s_min").value_at(0).as_double(), 1000.0);
+  EXPECT_DOUBLE_EQ(cols.at("dp_mflop_per_s_max").value_at(0).as_double(), 4000.0);
+  EXPECT_EQ(cols.at("dp_mflop_per_s_nodes").value_at(0).as_int(), 4);
   // Window stamped at its end.
   EXPECT_EQ(cols.at("dp_mflop_per_s_sum").times()[0], kMin);
 }
@@ -291,8 +291,8 @@ TEST(FindingRecorderTest, WritesAlertsAsEvents) {
       "alerts", {{"jobid", "42"}, {"rule", "compute_break"}, {"severity", "critical"}});
   ASSERT_EQ(series.size(), 1u);
   const auto& text = series[0]->columns.at("text");
-  EXPECT_NE(text.values()[0].as_string().find("compute_break on h3"), std::string::npos);
-  EXPECT_DOUBLE_EQ(series[0]->columns.at("duration_s").values()[0].as_double(), 720.0);
+  EXPECT_NE(text.value_at(0).as_string().find("compute_break on h3"), std::string::npos);
+  EXPECT_DOUBLE_EQ(series[0]->columns.at("duration_s").value_at(0).as_double(), 720.0);
   EXPECT_EQ(text.times()[0], 22 * kMin);
   // Empty input is a no-op.
   EXPECT_EQ(recorder.record({}), 0u);
@@ -341,8 +341,8 @@ TEST(ContinuousQueryTest, DownsamplesIntoRollup) {
   ASSERT_EQ(series.size(), 1u);
   const auto& mean_col = series[0]->columns.at("user_percent_mean");
   ASSERT_EQ(mean_col.size(), 6u);
-  EXPECT_DOUBLE_EQ(mean_col.values()[0].as_double(), 20.0);
-  EXPECT_DOUBLE_EQ(series[0]->columns.at("user_percent_max").values()[0].as_double(), 20.0);
+  EXPECT_DOUBLE_EQ(mean_col.value_at(0).as_double(), 20.0);
+  EXPECT_DOUBLE_EQ(series[0]->columns.at("user_percent_max").value_at(0).as_double(), 20.0);
   // jobid preserved on the rollup.
   EXPECT_EQ(series[0]->tag("jobid"), "1");
 }
@@ -458,12 +458,12 @@ TEST(PersistTest, SnapshotRoundTrip) {
   ASSERT_NE(db, nullptr);
   const auto series = db->series_matching("cpu", {{"hostname", "h1"}, {"jobid", "7"}});
   ASSERT_EQ(series.size(), 1u);
-  EXPECT_DOUBLE_EQ(series[0]->columns.at("user_percent").values()[0].as_double(), 42.5);
+  EXPECT_DOUBLE_EQ(series[0]->columns.at("user_percent").value_at(0).as_double(), 42.5);
   EXPECT_EQ(series[0]->columns.at("user_percent").times()[0], 1000);
   // String events survive too.
   EXPECT_EQ(db->series_matching("events", {{"jobid", "7"}})[0]
                 ->columns.at("text")
-                .values()[0]
+                .value_at(0)
                 .as_string(),
             "job start");
   EXPECT_NE(restored.find_database("user_alice"), nullptr);
@@ -604,7 +604,7 @@ TEST(AgentSelfMonitor, EmitsOwnCounters) {
   // Self-monitor points at t=0,30,60.
   EXPECT_EQ(series[0]->columns.at("points_sent").size(), 3u);
   // The last report reflects earlier sends.
-  EXPECT_GT(series[0]->columns.at("points_sent").values()[2].as_int(), 0);
+  EXPECT_GT(series[0]->columns.at("points_sent").value_at(2).as_int(), 0);
 }
 
 // ------------------------------------------------------------ router spool
@@ -668,7 +668,7 @@ TEST(RouterSpoolTest, BoundedSpoolDropsOldest) {
   EXPECT_EQ(router.flush_spool(), 3u);
   // The three newest survived.
   const auto* col = &db.storage.find_database("lms")->series_of("cpu")[0]->columns.at("v");
-  EXPECT_DOUBLE_EQ(col->values()[0].as_double(), 7.0);
+  EXPECT_DOUBLE_EQ(col->value_at(0).as_double(), 7.0);
 }
 
 TEST(RouterSpoolTest, DisabledSpoolReportsErrors) {

@@ -125,7 +125,9 @@ TEST(Integration, Fig3MiniMdAppMetricsAndEvents) {
   for (const auto* s : ev_series) {
     const auto it = s->columns.find("text");
     if (it == s->columns.end()) continue;
-    for (const auto& v : it->second.values()) texts.push_back(v.as_string());
+    for (std::size_t i = 0; i < it->second.size(); ++i) {
+      texts.push_back(it->second.value_at(i).as_string());
+    }
   }
   EXPECT_NE(std::find(texts.begin(), texts.end(), "start of minimd"), texts.end());
   EXPECT_NE(std::find(texts.begin(), texts.end(), "end of minimd"), texts.end());

@@ -2,8 +2,13 @@
 // parsing, dispatcher, in-process transport, PUB/SUB semantics, and a real
 // TCP server/client integration test.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <thread>
 
 #include "lms/net/http.hpp"
@@ -297,6 +302,44 @@ TEST(TcpHttp, HandlerExceptionBecomes500) {
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->status, 500);
   EXPECT_NE(resp->body.find("boom"), std::string::npos);
+  server.stop();
+}
+
+TEST(TcpHttp, IdleKeepAliveConnectionDoesNotStallAccepts) {
+  TcpHttpServer::Options opts;
+  opts.max_connections = 4;
+  TcpHttpServer server([](const HttpRequest&) { return HttpResponse::text(200, "ok"); },
+                       opts);
+  auto port = server.start();
+  ASSERT_TRUE(port.ok()) << port.message();
+
+  // One keep-alive connection that is served once and then left open: its
+  // worker sits in recv() until the 5 s socket timeout.
+  const int held = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(held, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(*port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(held, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const std::string req = "GET /held HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n";
+  ASSERT_EQ(::send(held, req.data(), req.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(req.size()));
+  char buf[512];
+  ASSERT_GT(::recv(held, buf, sizeof(buf), 0), 0);
+
+  // More short connections than the worker list holds before reaping: each
+  // must be answered promptly, not after the held connection times out.
+  TcpHttpClient client;
+  for (std::size_t i = 0; i < 2 * opts.max_connections + 4; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    auto resp = client.get(server.url() + "/short");
+    const auto waited = std::chrono::steady_clock::now() - t0;
+    ASSERT_TRUE(resp.ok()) << resp.message();
+    EXPECT_EQ(resp->status, 200);
+    EXPECT_LT(waited, std::chrono::seconds(2)) << "request " << i << " stalled";
+  }
+  ::close(held);
   server.stop();
 }
 

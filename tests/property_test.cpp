@@ -3,13 +3,20 @@
 //     expressions,
 //   - query engine invariants on random data (aggregator algebra, ordering,
 //     limit/desc semantics),
+//   - the streaming query executor vs. a naive sort-then-bucket reference
+//     evaluator, bit for bit, over every aggregator and fill mode,
 //   - HTTP and line-protocol parser robustness against mutated input
 //     (never crash; either parse or reject),
 //   - tag-store enrichment idempotence.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <optional>
+#include <set>
 
 #include "lms/core/tagstore.hpp"
 #include "lms/hpm/formula.hpp"
@@ -23,6 +30,7 @@ namespace lms {
 namespace {
 
 using util::Rng;
+using util::TimeNs;
 
 // --------------------------------------------------- formula differential
 
@@ -225,6 +233,289 @@ TEST_P(QueryInvariants, WindowMeansBoundedByGlobalExtrema) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueryInvariants, ::testing::Range(1, 6));
+
+// ---------------------------------------------------------- query oracle
+
+/// Naive reference evaluator for SELECT: copy every sample of a group into a
+/// vector, sort by time, bucket into windows with a map, reduce each bucket
+/// from scratch. The engine streams over the stored columns instead; with
+/// values on a 1/16 grid (exact sums) and distinct timestamps per group both
+/// must agree bit for bit.
+struct RefSample {
+  TimeNs t;
+  lineproto::FieldValue v;
+};
+
+std::optional<lineproto::FieldValue> ref_aggregate(tsdb::Aggregator agg, double param,
+                                                   const std::vector<RefSample>& w) {
+  using tsdb::Aggregator;
+  using lineproto::FieldValue;
+  if (w.empty()) return std::nullopt;
+  if (agg == Aggregator::kCount) return FieldValue(static_cast<std::int64_t>(w.size()));
+  if (agg == Aggregator::kFirst) return w.front().v;
+  if (agg == Aggregator::kLast) return w.back().v;
+  std::vector<double> x;
+  for (const auto& s : w) {
+    if (s.v.is_numeric()) x.push_back(s.v.as_double());
+  }
+  if (x.empty()) return std::nullopt;
+  double sum = 0;
+  for (const double v : x) sum += v;
+  const auto n = static_cast<double>(x.size());
+  const double mn = *std::min_element(x.begin(), x.end());
+  const double mx = *std::max_element(x.begin(), x.end());
+  std::vector<double> sorted = x;
+  std::sort(sorted.begin(), sorted.end());
+  switch (agg) {
+    case Aggregator::kMean:
+      return FieldValue(sum / n);
+    case Aggregator::kSum:
+      return FieldValue(sum);
+    case Aggregator::kMin:
+      return FieldValue(mn);
+    case Aggregator::kMax:
+      return FieldValue(mx);
+    case Aggregator::kSpread:
+      return FieldValue(mx - mn);
+    case Aggregator::kStddev: {
+      if (x.size() < 2) return FieldValue(0.0);
+      double ss = 0;
+      for (const double v : x) ss += (v - sum / n) * (v - sum / n);
+      return FieldValue(std::sqrt(ss / (n - 1)));
+    }
+    case Aggregator::kMedian: {
+      const std::size_t m = sorted.size();
+      return FieldValue(m % 2 == 1 ? sorted[m / 2] : 0.5 * (sorted[m / 2 - 1] + sorted[m / 2]));
+    }
+    case Aggregator::kPercentile: {
+      const auto rank = static_cast<std::size_t>(
+          std::ceil(std::clamp(param, 0.0, 100.0) / 100.0 * n));
+      return FieldValue(sorted[rank == 0 ? 0 : rank - 1]);
+    }
+    default:
+      return std::nullopt;
+  }
+}
+
+std::map<TimeNs, lineproto::FieldValue> ref_expr(const tsdb::FieldExpr& fe,
+                                                 const std::vector<RefSample>& samples,
+                                                 const tsdb::SelectStatement& sel) {
+  using tsdb::Aggregator;
+  std::map<TimeNs, lineproto::FieldValue> out;
+  std::map<TimeNs, std::vector<RefSample>> windows;
+  for (const auto& s : samples) {
+    const TimeNs key = sel.group_by_time ? s.t / *sel.group_by_time * *sel.group_by_time : 0;
+    windows[key].push_back(s);
+  }
+  if (fe.agg == Aggregator::kNone) {
+    for (const auto& s : samples) out[s.t] = s.v;
+  } else if (fe.agg == Aggregator::kDerivative || fe.agg == Aggregator::kRate) {
+    std::vector<std::pair<TimeNs, double>> base;
+    if (sel.group_by_time) {
+      for (const auto& [start, w] : windows) {
+        if (auto m = ref_aggregate(Aggregator::kMean, 0, w)) base.emplace_back(start, m->as_double());
+      }
+    } else {
+      for (const auto& s : samples) {
+        if (s.v.is_numeric()) base.emplace_back(s.t, s.v.as_double());
+      }
+    }
+    const double unit = static_cast<double>(fe.unit > 0 ? fe.unit : util::kNanosPerSecond);
+    for (std::size_t i = 1; i < base.size(); ++i) {
+      const double dt = static_cast<double>(base[i].first - base[i - 1].first) / unit;
+      if (dt <= 0) continue;
+      double d = (base[i].second - base[i - 1].second) / dt;
+      if (fe.agg == Aggregator::kRate && d < 0) d = 0;
+      out[base[i].first] = lineproto::FieldValue(d);
+    }
+  } else if (sel.group_by_time) {
+    for (const auto& [start, w] : windows) {
+      if (auto v = ref_aggregate(fe.agg, fe.param, w)) out[start] = *v;
+    }
+  } else if (auto v = ref_aggregate(fe.agg, fe.param, samples)) {
+    out[sel.time_min.value_or(samples.front().t)] = *v;
+  }
+  return out;
+}
+
+std::vector<tsdb::ResultSeries> ref_select(const tsdb::Database& db,
+                                           const tsdb::SelectStatement& sel) {
+  std::map<std::vector<tsdb::Tag>, std::vector<const tsdb::Series*>> groups;
+  for (const tsdb::Series* s : db.series_of(sel.measurement)) {
+    std::vector<tsdb::Tag> key;
+    for (const auto& tk : sel.group_by_tags) key.emplace_back(tk, std::string(s->tag(tk)));
+    groups[key].push_back(s);
+  }
+  std::vector<tsdb::ResultSeries> out;
+  for (const auto& [key, series] : groups) {
+    std::vector<std::map<TimeNs, lineproto::FieldValue>> cols;
+    for (const auto& fe : sel.fields) {
+      std::vector<RefSample> samples;
+      for (const tsdb::Series* s : series) {
+        const auto it = s->columns.find(fe.field);
+        if (it == s->columns.end()) continue;
+        for (std::size_t i = 0; i < it->second.size(); ++i) {
+          const TimeNs t = it->second.times()[i];
+          if (sel.time_min && t < *sel.time_min) continue;
+          if (sel.time_max && t >= *sel.time_max) continue;
+          samples.push_back({t, it->second.value_at(i)});
+        }
+      }
+      std::sort(samples.begin(), samples.end(),
+                [](const RefSample& a, const RefSample& b) { return a.t < b.t; });
+      cols.push_back(ref_expr(fe, samples, sel));
+    }
+    std::set<TimeNs> rows;
+    if (sel.group_by_time && sel.fill != tsdb::FillMode::kNone && sel.time_min &&
+        sel.time_max) {
+      const TimeNs dur = *sel.group_by_time;
+      for (TimeNs t = *sel.time_min / dur * dur; t < *sel.time_max; t += dur) rows.insert(t);
+    } else {
+      for (const auto& c : cols) {
+        for (const auto& [t, _] : c) rows.insert(t);
+      }
+    }
+    tsdb::ResultSeries rs;
+    rs.name = sel.measurement;
+    rs.tags = key;
+    rs.columns.push_back("time");
+    for (const auto& fe : sel.fields) rs.columns.push_back(fe.alias);
+    std::vector<lineproto::FieldValue> prev(cols.size(), lineproto::FieldValue(0.0));
+    for (const TimeNs t : rows) {
+      std::vector<lineproto::FieldValue> row{lineproto::FieldValue(static_cast<std::int64_t>(t))};
+      bool any = false;
+      for (std::size_t c = 0; c < cols.size(); ++c) {
+        const auto it = cols[c].find(t);
+        if (it != cols[c].end()) {
+          row.push_back(prev[c] = it->second);
+          any = true;
+        } else if (sel.fill == tsdb::FillMode::kZero) {
+          row.emplace_back(0.0);
+        } else if (sel.fill == tsdb::FillMode::kPrevious) {
+          row.push_back(prev[c]);
+        } else {
+          row.push_back(tsdb::null_cell());
+        }
+      }
+      if (any || sel.fill != tsdb::FillMode::kNone) rs.values.push_back(std::move(row));
+    }
+    if (!rs.values.empty()) out.push_back(std::move(rs));
+  }
+  return out;
+}
+
+/// Equality that tells -0.0 from 0.0 and matches NaN payloads.
+bool same_bits(const lineproto::FieldValue& a, const lineproto::FieldValue& b) {
+  if (a.is_double() && b.is_double()) {
+    return std::bit_cast<std::uint64_t>(a.as_double()) ==
+           std::bit_cast<std::uint64_t>(b.as_double());
+  }
+  return a == b;
+}
+
+class QueryOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(QueryOracle, StreamingAggregatorsMatchSortThenBucketReference) {
+  using tsdb::Aggregator;
+  using tsdb::FillMode;
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919);
+  tsdb::Database db("oracle");
+  // Distinct timestamps (a shuffled slot grid), written out of order. Field
+  // v is a float everywhere; n is an int on even hosts and a float on odd
+  // ones, so merged groups mix numeric column types; b is a bool.
+  std::vector<TimeNs> slots(2000);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    slots[i] = static_cast<TimeNs>(i) * 250 * util::kNanosPerMilli;
+  }
+  for (std::size_t i = slots.size() - 1; i > 0; --i) {
+    std::swap(slots[i], slots[static_cast<std::size_t>(
+                            rng.uniform_int(0, static_cast<std::int64_t>(i)))]);
+  }
+  const auto hosts = rng.uniform_int(1, 5);
+  const auto points = static_cast<std::size_t>(rng.uniform_int(40, 400));
+  const auto grid = [&rng] { return static_cast<double>(rng.uniform_int(-1024, 1024)) / 16; };
+  for (std::size_t i = 0; i < points; ++i) {
+    const auto h = rng.uniform_int(0, hosts - 1);
+    lineproto::Point p = lineproto::make_point(
+        "m", "v", grid(), slots[i],
+        {{"hostname", "h" + std::to_string(h)}, {"rack", "r" + std::to_string(h % 2)}});
+    if (rng.uniform() < 0.6) {
+      if (h % 2 == 0) {
+        p.add_field("n", rng.uniform_int(-100, 100));
+      } else {
+        p.add_field("n", grid());
+      }
+    }
+    if (rng.uniform() < 0.3) p.add_field("b", rng.uniform() < 0.5);
+    ASSERT_EQ(db.write(p, 0), 0u);
+  }
+
+  const std::vector<std::vector<std::string>> group_tags = {{}, {"hostname"}, {"rack"}};
+  const std::vector<std::string> fields = {"v", "n", "b"};
+  const std::vector<double> percentiles = {0, 1, 50, 90, 99.5, 100};
+  int compared = 0;
+  for (int a = 0; a <= static_cast<int>(Aggregator::kRate); ++a) {
+    for (const bool windowed : {false, true}) {
+      for (const FillMode fill :
+           {FillMode::kNone, FillMode::kNull, FillMode::kZero, FillMode::kPrevious}) {
+        tsdb::Statement stmt;
+        tsdb::SelectStatement& sel = stmt.select;
+        sel.measurement = "m";
+        sel.fill = fill;
+        sel.group_by_tags = group_tags[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+        if (windowed) sel.group_by_time = rng.uniform_int(1, 120) * util::kNanosPerSecond;
+        if (rng.uniform() < 0.7) {
+          sel.time_min = rng.uniform_int(0, 300) * util::kNanosPerSecond;
+          sel.time_max = *sel.time_min + rng.uniform_int(1, 300) * util::kNanosPerSecond;
+        }
+        // The aggregator under test on v, plus a random second expression.
+        const auto expr = [&](Aggregator agg, const std::string& field, const char* alias) {
+          tsdb::FieldExpr fe{agg, field, alias, 0, 0};
+          if (agg == Aggregator::kPercentile) {
+            fe.param = percentiles[static_cast<std::size_t>(rng.uniform_int(0, 5))];
+          }
+          if (agg == Aggregator::kDerivative || agg == Aggregator::kRate) {
+            fe.unit = rng.uniform_int(0, 2) * 30 * util::kNanosPerSecond;
+          }
+          return fe;
+        };
+        sel.fields.push_back(expr(static_cast<Aggregator>(a), "v", "c0"));
+        sel.fields.push_back(
+            expr(static_cast<Aggregator>(rng.uniform_int(0, static_cast<int>(Aggregator::kRate))),
+                 fields[static_cast<std::size_t>(rng.uniform_int(0, 2))], "c1"));
+
+        auto got = tsdb::execute(db, stmt);
+        ASSERT_TRUE(got.ok()) << got.message();
+        const auto want = ref_select(db, sel);
+        const std::string ctx = "agg " + std::to_string(a) + " field2 " + sel.fields[1].field +
+                                " agg2 " + std::to_string(static_cast<int>(sel.fields[1].agg)) +
+                                " windowed " + std::to_string(windowed) + " fill " +
+                                std::to_string(static_cast<int>(fill));
+        ASSERT_EQ(got->series.size(), want.size()) << ctx;
+        for (std::size_t s = 0; s < want.size(); ++s) {
+          const auto& g = got->series[s];
+          const auto& w = want[s];
+          EXPECT_EQ(g.name, w.name) << ctx;
+          EXPECT_EQ(g.tags, w.tags) << ctx;
+          EXPECT_EQ(g.columns, w.columns) << ctx;
+          ASSERT_EQ(g.values.size(), w.values.size()) << ctx;
+          for (std::size_t r = 0; r < w.values.size(); ++r) {
+            ASSERT_EQ(g.values[r].size(), w.values[r].size()) << ctx;
+            for (std::size_t c = 0; c < w.values[r].size(); ++c) {
+              EXPECT_TRUE(same_bits(g.values[r][c], w.values[r][c]))
+                  << ctx << " row " << r << " col " << c << ": got "
+                  << g.values[r][c].as_string() << " want " << w.values[r][c].as_string();
+              ++compared;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, QueryOracle, ::testing::Range(1, 9));
 
 // ------------------------------------------------------ parser robustness
 

@@ -149,8 +149,8 @@ TEST_F(RouterTest, JobSignalsBecomeAnnotationEvents) {
   ASSERT_EQ(series.size(), 1u);
   const auto& col = series[0]->columns.at("type");
   ASSERT_EQ(col.size(), 2u);
-  EXPECT_EQ(col.values()[0].as_string(), "job_start");
-  EXPECT_EQ(col.values()[1].as_string(), "job_end");
+  EXPECT_EQ(col.value_at(0).as_string(), "job_start");
+  EXPECT_EQ(col.value_at(1).as_string(), "job_end");
   EXPECT_EQ(col.times()[1] - col.times()[0], 10 * kSec);
 }
 

@@ -14,6 +14,7 @@
 #include "lms/obs/traceexport.hpp"
 #include "lms/tsdb/http_api.hpp"
 #include "lms/tsdb/ingest.hpp"
+#include "lms/tsdb/persist.hpp"
 #include "lms/tsdb/query.hpp"
 #include "lms/tsdb/storage.hpp"
 #include "lms/tsdb/trace_assembly.hpp"
@@ -123,6 +124,147 @@ TEST(Storage, MultiDatabase) {
   EXPECT_EQ(storage.databases(), (std::vector<std::string>{"a", "b"}));
   EXPECT_NE(storage.find_database("a"), nullptr);
   EXPECT_EQ(storage.find_database("c"), nullptr);
+}
+
+// ---------------------------------------------------------- typed columns
+
+/// One point carrying a field of every type.
+Point typed_point(TimeNs t, double f, std::int64_t i, bool b, std::string text) {
+  Point p = make_point("typed", "f", f, t, {{"hostname", "h1"}});
+  p.add_field("i", i);
+  p.add_field("b", b);
+  p.add_field("s", std::move(text));
+  p.normalize();
+  return p;
+}
+
+TEST(TypedColumns, EachFieldKeepsItsTypeThroughWriteQueryAndSnapshot) {
+  Storage storage;
+  EXPECT_EQ(storage.write("lms",
+                          {typed_point(10, 1.5, 7, true, "start"),
+                           typed_point(20, -2.25, -3, false, "end")},
+                          0),
+            0u);
+  const auto check_columns = [](const Database& db) {
+    const auto series = db.series_of("typed");
+    ASSERT_EQ(series.size(), 1u);
+    const auto& cols = series[0]->columns;
+    EXPECT_EQ(cols.at("f").type(), Column::Type::kFloat);
+    EXPECT_EQ(cols.at("i").type(), Column::Type::kInt);
+    EXPECT_EQ(cols.at("b").type(), Column::Type::kBool);
+    EXPECT_EQ(cols.at("s").type(), Column::Type::kString);
+    EXPECT_EQ(std::vector<double>(cols.at("f").floats().begin(), cols.at("f").floats().end()),
+              (std::vector<double>{1.5, -2.25}));
+    EXPECT_EQ(cols.at("i").ints()[1], -3);
+    EXPECT_EQ(cols.at("b").bools()[0], 1);
+    EXPECT_EQ(cols.at("s").strings()[1], "end");
+    EXPECT_TRUE(cols.at("f").ints().empty());  // views of other types are empty
+    EXPECT_EQ(cols.at("f").value_at(0), FieldValue(1.5));
+    EXPECT_EQ(cols.at("i").value_at(0), FieldValue(std::int64_t{7}));
+    EXPECT_EQ(cols.at("b").value_at(1), FieldValue(false));
+    EXPECT_EQ(cols.at("s").value_at(0), FieldValue("start"));
+  };
+  check_columns(*storage.find_database("lms"));
+
+  // /query renders each type as its JSON type.
+  util::SimClock clock(0);
+  HttpApi api(storage, clock);
+  net::InprocNetwork net;
+  net.bind("db", api.handler());
+  net::InprocHttpClient client(net);
+  auto resp = client.get("inproc://db/query?db=lms&q=" +
+                         util::url_encode("SELECT f, i, b, s FROM typed"));
+  ASSERT_TRUE(resp.ok());
+  ASSERT_EQ(resp->status, 200);
+  const auto body = json::parse(resp->body);
+  ASSERT_TRUE(body.ok()) << resp->body;
+  const json::Value& row = (*body)["results"][0]["series"][0]["values"][0];
+  EXPECT_TRUE(row[1].is_double());
+  EXPECT_DOUBLE_EQ(row[1].as_double(), 1.5);
+  EXPECT_TRUE(row[2].is_int());
+  EXPECT_EQ(row[2].as_int(), 7);
+  EXPECT_TRUE(row[3].is_bool());
+  EXPECT_TRUE(row[3].as_bool());
+  EXPECT_TRUE(row[4].is_string());
+  EXPECT_EQ(row[4].as_string(), "start");
+
+  // A snapshot save/load restores the same typed columns.
+  const std::string path = ::testing::TempDir() + "/lms_typed_columns.lp";
+  ASSERT_TRUE(save_snapshot(storage, path).ok());
+  Storage restored;
+  const auto loaded = load_snapshot(restored, path);
+  ASSERT_TRUE(loaded.ok()) << loaded.message();
+  EXPECT_EQ(*loaded, 2u);
+  check_columns(*restored.find_database("lms"));
+  std::remove(path.c_str());
+}
+
+TEST(TypedColumns, OutOfOrderInsertAndRetentionKeepValuesAligned) {
+  Database db("test");
+  for (const TimeNs t : {TimeNs{30}, TimeNs{10}, TimeNs{40}, TimeNs{20}}) {
+    db.write(typed_point(t, static_cast<double>(t) / 4, t, t % 20 == 0, "e" + std::to_string(t)),
+             0);
+  }
+  const auto& cols = db.series_of("typed")[0]->columns;
+  for (const auto& [field, col] : cols) {
+    EXPECT_EQ(col.times(), (std::vector<TimeNs>{10, 20, 30, 40})) << field;
+  }
+  EXPECT_DOUBLE_EQ(cols.at("f").floats()[0], 2.5);
+  EXPECT_EQ(cols.at("i").ints()[1], 20);
+  EXPECT_EQ(cols.at("b").bools()[2], 0);
+  EXPECT_EQ(cols.at("s").strings()[3], "e40");
+
+  EXPECT_EQ(db.drop_before(25), 8u);  // two samples from each of four columns
+  for (const auto& [field, col] : cols) {
+    EXPECT_EQ(col.times(), (std::vector<TimeNs>{30, 40})) << field;
+  }
+  EXPECT_DOUBLE_EQ(cols.at("f").floats()[0], 7.5);
+  EXPECT_EQ(cols.at("i").ints()[1], 40);
+  EXPECT_EQ(cols.at("b").bools()[1], 1);
+  EXPECT_EQ(cols.at("s").strings()[0], "e30");
+  EXPECT_EQ(cols.at("s").size(), 2u);
+}
+
+TEST(TypedColumns, FirstTypeWinsAndOnlyTheConflictingFieldIsRejected) {
+  Storage storage;
+  util::SimClock clock(0);
+  HttpApi api(storage, clock);
+  net::InprocNetwork net;
+  net.bind("db", api.handler());
+  net::InprocHttpClient client(net);
+  auto resp = client.post("inproc://db/write?db=lms", "cpu,hostname=h1 v=1.5,n=2i 10\n",
+                          "text/plain");
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp->status, 204);
+  EXPECT_EQ(api.field_type_conflicts(), 0u);
+
+  // v is a float column: the string value is rejected, n and the second
+  // point still land.
+  resp = client.post("inproc://db/write?db=lms",
+                     "cpu,hostname=h1 v=\"oops\",n=3i 20\ncpu,hostname=h1 v=2.5,n=4i 30\n",
+                     "text/plain");
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp->status, 204);
+  EXPECT_EQ(api.field_type_conflicts(), 1u);
+  EXPECT_EQ(api.points_written(), 3u);
+  const auto& cols = storage.find_database("lms")->series_of("cpu")[0]->columns;
+  EXPECT_EQ(cols.at("v").times(), (std::vector<TimeNs>{10, 30}));
+  EXPECT_EQ(cols.at("n").times(), (std::vector<TimeNs>{10, 20, 30}));
+  EXPECT_EQ(cols.at("v").type(), Column::Type::kFloat);
+
+  // An int into the float column conflicts too (no silent widening).
+  resp = client.post("inproc://db/write?db=lms", "cpu,hostname=h1 v=5i 40\n", "text/plain");
+  EXPECT_EQ(resp->status, 204);
+  EXPECT_EQ(api.field_type_conflicts(), 2u);
+  EXPECT_NE(obs::render_text(api.registry()).find("tsdb_field_type_conflicts 2"),
+            std::string::npos);
+
+  // Storage::write reports the same count to direct callers.
+  EXPECT_EQ(storage.write("lms", {make_point("cpu", "n", true, 50, {{"hostname", "h1"}})}, 0),
+            1u);
+  // Another series is another set of columns: its own first type wins.
+  EXPECT_EQ(storage.write("lms", {make_point("cpu", "v", 7, 50, {{"hostname", "h2"}})}, 0),
+            0u);
 }
 
 // ---------------------------------------------------------------- parsing
