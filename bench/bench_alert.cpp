@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "bench_util.hpp"
 #include "lms/alert/evaluator.hpp"
@@ -51,7 +52,10 @@ double time_runs(int rounds, Fn&& run) {
 }  // namespace
 
 int main() {
-  std::printf("=== bench_alert: rule evaluation + deadman sweep over %d hosts ===\n\n", kHosts);
+  const unsigned hw = std::thread::hardware_concurrency();
+  std::printf("=== bench_alert: rule evaluation + deadman sweep over %d hosts, "
+              "%u hardware threads ===\n\n",
+              kHosts, hw);
 
   // --- threshold rule, grouped by hostname: 1k state machines per run ---
   tsdb::Storage storage;
@@ -90,6 +94,7 @@ int main() {
 
   json::Object o;
   o["bench"] = "bench_alert";
+  o["hardware_threads"] = static_cast<std::int64_t>(hw);
   o["hosts"] = kHosts;
   o["rounds"] = kRounds;
   o["threshold_rule_ns_per_run"] = rule_ns_per_run;

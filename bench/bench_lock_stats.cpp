@@ -8,13 +8,6 @@
 // and written to BENCH_lock_stats.json as evidence for or against ROADMAP
 // item 2's claim that multi-writer ingest is lock-handoff-bound.
 //
-// A third configuration reruns the same stats-on mix with a TaskScheduler
-// attached to the storage (Database::set_scheduler): contended stripe
-// writes stage their batches and a pinned per-stripe drain task applies
-// them, so the measured tsdb.shard wait should collapse versus the direct
-// path. Both rankings land in BENCH_lock_stats.json as the before/after
-// evidence for ROADMAP item 2.
-//
 // In a build without -DLMS_LOCK_STATS=ON the wrappers carry no hooks and
 // there is nothing to measure; the binary says so and exits 0 (the smoke
 // gate runs it in every configuration).
@@ -22,15 +15,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "lms/core/sync.hpp"
-#include "lms/core/taskscheduler.hpp"
 #include "lms/json/json.hpp"
 #include "lms/tsdb/query.hpp"
 #include "lms/tsdb/storage.hpp"
@@ -56,18 +46,11 @@ struct RunResult {
 };
 
 /// One ingest run: 8 writers batch-appending into the 16-stripe storage
-/// while query threads poll (same mix as bench_tsdb_ingest). With `offload`
-/// the storage routes contended stripe writes through a TaskScheduler's
-/// pinned per-stripe drain tasks instead of blocking on the stripe lock.
-RunResult run_ingest(bool offload = false) {
+/// while query threads poll (same mix as bench_tsdb_ingest).
+RunResult run_ingest() {
   tsdb::Storage storage(tsdb::Database::kDefaultShards);
   storage.database("lms");
   tsdb::Engine engine(storage);
-  std::unique_ptr<core::TaskScheduler> sched;
-  if (offload) {
-    sched = std::make_unique<core::TaskScheduler>();
-    storage.set_scheduler(sched.get());
-  }
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> queriers;
@@ -109,25 +92,11 @@ RunResult run_ingest(bool offload = false) {
   const double wall_ns = static_cast<double>(util::monotonic_now_ns() - start);
   stop.store(true);
   for (auto& t : queriers) t.join();
-  if (sched != nullptr) {
-    // Quiesce before the storage goes out of scope: queued drain tasks
-    // capture shard references.
-    storage.set_scheduler(nullptr);
-    sched->stop();
-  }
 
   RunResult res;
   res.wall_ms = wall_ns / 1e6;
   res.points_per_sec = double(kWriterThreads) * kPointsPerWriter / (wall_ns / 1e9);
   return res;
-}
-
-std::uint64_t site_wait_ns(const std::vector<lockstats::SiteSnapshot>& sites,
-                           std::string_view name) {
-  for (const auto& s : sites) {
-    if (s.name != nullptr && name == s.name) return s.wait_ns_total;
-  }
-  return 0;
 }
 
 /// Print the top sites of a ranking and return them as a JSON array.
@@ -197,37 +166,9 @@ int main() {
               best_off.points_per_sec / 1e6, best_on.points_per_sec / 1e6, overhead_pct);
 
   // The contention ranking of the final enabled run — the /debug/runtime
-  // view of this workload on the direct (blocking) write path.
+  // view of this workload.
   const auto ranking = lockstats::snapshot();
-  std::printf("--- direct write path ---\n");
   json::Array sites = report_ranking(ranking);
-  const std::uint64_t shard_wait_direct = site_wait_ns(ranking, "tsdb.shard");
-
-  // Same mix with the scheduler offload: contended stripe writes stage and
-  // a pinned per-stripe task drains them, so writers stop convoying on the
-  // tsdb.shard stripe locks.
-  RunResult best_offload;
-  for (int rep = 0; rep < kReps; ++rep) {
-    lockstats::reset();  // rank only this run's contention
-    const RunResult off = run_ingest(/*offload=*/true);
-    if (off.points_per_sec > best_offload.points_per_sec) best_offload = off;
-    std::printf("offload rep %d: %8.2f Mpts/s\n", rep, off.points_per_sec / 1e6);
-  }
-  const auto ranking_offload = lockstats::snapshot();
-  std::printf("\n--- scheduler offload path ---\n");
-  json::Array sites_offload = report_ranking(ranking_offload);
-  const std::uint64_t shard_wait_offload = site_wait_ns(ranking_offload, "tsdb.shard");
-  const double shard_wait_reduction_pct =
-      shard_wait_direct > 0
-          ? 100.0 * (static_cast<double>(shard_wait_direct) -
-                     static_cast<double>(shard_wait_offload)) /
-                static_cast<double>(shard_wait_direct)
-          : 0.0;
-  std::printf("\ntsdb.shard wait: direct %.2f ms -> offload %.2f ms (%.1f%% reduction), "
-              "offload best %.2f Mpts/s\n\n",
-              static_cast<double>(shard_wait_direct) / 1e6,
-              static_cast<double>(shard_wait_offload) / 1e6, shard_wait_reduction_pct,
-              best_offload.points_per_sec / 1e6);
 
   json::Object top;
   top["bench"] = "bench_lock_stats";
@@ -244,11 +185,6 @@ int main() {
   if (!ranking.empty() && ranking.front().acquisitions > 0) {
     top["top_wait_site"] = std::string(ranking.front().name);
   }
-  top["points_per_sec_offload"] = best_offload.points_per_sec;
-  top["ranking_offload"] = std::move(sites_offload);
-  top["tsdb_shard_wait_ns_direct"] = static_cast<std::int64_t>(shard_wait_direct);
-  top["tsdb_shard_wait_ns_offload"] = static_cast<std::int64_t>(shard_wait_offload);
-  top["tsdb_shard_wait_reduction_pct"] = shard_wait_reduction_pct;
   return bench::write_baseline("BENCH_lock_stats.json",
                                json::Value(std::move(top)).dump_pretty())
              ? 0

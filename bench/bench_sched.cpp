@@ -1,22 +1,15 @@
 // Prices the core::TaskScheduler runtime that carries every background
-// loop of the stack (ISSUE: router flusher, CQ runner, retention, alerts,
-// trace export, self-scrape, collector ticks) plus the TSDB staged-write
-// offload:
+// loop of the stack (router flusher, CQ runner, retention, alerts, trace
+// export, self-scrape, collector ticks):
 //
 //   1. fan-out   — a burst of no-op tasks submitted from one producer
 //                  thread, drained by the worker pool (the steal path);
 //   2. pinned    — the same burst spread over affinity keys, exercising the
-//                  per-key FIFO lanes the storage drain tasks ride;
+//                  per-key FIFO lanes (submit(fn, key));
 //   3. delayed   — a batch of sub-millisecond timers through the shared
 //                  min-heap;
 //   4. periodic  — manual-mode cadence: a fixed-delay task stepped across a
 //                  simulated hour must fire exactly once per interval;
-//   5. ingest    — the bench_tsdb_ingest 8-writer mix with the scheduler
-//                  attached to the storage (Database::set_scheduler), i.e.
-//                  the scheduler path of ROADMAP item 2. In a build with
-//                  -DLMS_LOCK_STATS=ON the run also records the tsdb.shard
-//                  wait ranking (see BENCH_lock_stats.json for the
-//                  direct-vs-offload comparison).
 //
 // Results land in BENCH_sched.json. LMS_BENCH_SMOKE=1 shrinks the budgets
 // and suppresses the baseline write.
@@ -24,35 +17,24 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <memory>
-#include <string>
 #include <thread>
-#include <vector>
 
 #include "bench_util.hpp"
-#include "lms/core/sync.hpp"
 #include "lms/core/taskscheduler.hpp"
 #include "lms/json/json.hpp"
-#include "lms/tsdb/storage.hpp"
 #include "lms/util/clock.hpp"
 
 namespace {
 
 using namespace lms;
-namespace lockstats = core::sync::lockstats;
 
 constexpr util::TimeNs kSec = util::kNanosPerSecond;
-constexpr util::TimeNs kT0 = 1'500'000'000LL * kSec;
 
 const int kFanoutTasks = bench::scaled(200'000, 2'000);
-const int kPinnedKeys = 16;  // one per storage stripe, the affinity use case
+const int kPinnedKeys = 16;
 const int kPinnedTasks = bench::scaled(200'000, 2'000);
 const int kDelayedTasks = bench::scaled(20'000, 200);
 const int kManualSteps = bench::scaled(3'600, 60);  // one simulated hour
-const int kIngestPointsPerWriter = bench::scaled(20'000, 500);
-constexpr int kIngestWriters = 8;
-constexpr int kIngestBatch = 100;
-constexpr int kIngestHosts = 64;
 
 /// Spin until the counter reaches `want` (worker completion barrier).
 void await(const std::atomic<int>& counter, int want) {
@@ -114,45 +96,6 @@ std::uint64_t manual_periodic_runs() {
   return runs.load();
 }
 
-/// The bench_tsdb_ingest multi-writer mix on the scheduler path: contended
-/// stripe writes stage and pinned per-stripe tasks drain them.
-double ingest_offload_rate(core::TaskScheduler& sched) {
-  tsdb::Storage storage(tsdb::Database::kDefaultShards);
-  storage.database("lms");
-  storage.set_scheduler(&sched);
-
-  const util::TimeNs start = util::monotonic_now_ns();
-  std::vector<std::thread> writers;
-  writers.reserve(kIngestWriters);
-  for (int w = 0; w < kIngestWriters; ++w) {
-    writers.emplace_back([&storage, w] {
-      std::vector<lineproto::Point> batch;
-      batch.reserve(kIngestBatch);
-      int written = 0;
-      while (written < kIngestPointsPerWriter) {
-        batch.clear();
-        for (int i = 0; i < kIngestBatch && written < kIngestPointsPerWriter;
-             ++i, ++written) {
-          lineproto::Point p;
-          p.measurement = "cpu";
-          p.set_tag("hostname",
-                    "w" + std::to_string(w) + "h" + std::to_string(written % kIngestHosts));
-          p.add_field("v", static_cast<double>(written));
-          p.timestamp = kT0 + static_cast<util::TimeNs>(written) * kSec;
-          p.normalize();
-          batch.push_back(std::move(p));
-        }
-        storage.write("lms", batch, kT0);
-      }
-    });
-  }
-  for (auto& t : writers) t.join();
-  const double wall_ns = static_cast<double>(util::monotonic_now_ns() - start);
-  // Quiesce queued drain tasks before the storage goes out of scope.
-  storage.set_scheduler(nullptr);
-  return double(kIngestWriters) * kIngestPointsPerWriter / (wall_ns / 1e9);
-}
-
 }  // namespace
 
 int main() {
@@ -177,14 +120,6 @@ int main() {
   std::printf("periodic: %llu runs over %d manual 1 s steps (want %d)\n",
               static_cast<unsigned long long>(periodic_runs), kManualSteps, kManualSteps);
 
-  if (core::sync::kLockStatsEnabled) {
-    lockstats::set_enabled(true);
-    lockstats::reset();
-  }
-  const double ingest = ingest_offload_rate(sched);
-  std::printf("ingest:   %10.2f Mpts/s on the scheduler offload path (%d writers)\n",
-              ingest / 1e6, kIngestWriters);
-
   json::Object top;
   top["bench"] = "bench_sched";
   top["hardware_threads"] = static_cast<std::int64_t>(hw);
@@ -200,26 +135,6 @@ int main() {
   top["delayed_drain_ms"] = delayed_ms;
   top["manual_steps"] = kManualSteps;
   top["periodic_runs"] = static_cast<std::int64_t>(periodic_runs);
-  top["ingest_writers"] = kIngestWriters;
-  top["ingest_points_per_writer"] = kIngestPointsPerWriter;
-  top["ingest_points_per_sec_offload"] = ingest;
-  top["lock_stats_compiled"] = core::sync::kLockStatsEnabled;
-  if (core::sync::kLockStatsEnabled) {
-    // The tsdb.shard wait picture of the offload run — what /debug/runtime
-    // would rank for this workload on the scheduler path.
-    json::Array sites;
-    for (const auto& s : lockstats::snapshot()) {
-      if (s.acquisitions == 0 || sites.size() >= 8) continue;
-      json::Object o;
-      o["lock"] = std::string(s.name);
-      o["rank"] = s.rank;
-      o["acquisitions"] = static_cast<std::int64_t>(s.acquisitions);
-      o["contended"] = static_cast<std::int64_t>(s.contended);
-      o["wait_ns_total"] = static_cast<std::int64_t>(s.wait_ns_total);
-      sites.emplace_back(std::move(o));
-    }
-    top["ingest_ranking"] = std::move(sites);
-  }
 
   sched.stop();
   const bool fired_right = periodic_runs == static_cast<std::uint64_t>(kManualSteps);

@@ -3,23 +3,17 @@
 // (the dashboard-poll mix from the paper's production setting). Every
 // configuration runs twice — against a single-stripe storage (the old
 // global-lock layout, Storage(1)) and against the default 16-stripe layout —
-// so the speedup from lock striping is measured, not assumed. A third
-// configuration runs the 16-stripe layout with a core::TaskScheduler
-// attached (Database::set_scheduler): contended stripe writes stage their
-// batches for pinned per-stripe drain tasks instead of convoying on the
-// stripe lock. Writes the numbers as a machine-readable baseline to
-// BENCH_tsdb_ingest.json.
+// so the speedup from lock striping is measured, not assumed. Writes the
+// numbers as a machine-readable baseline to BENCH_tsdb_ingest.json.
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "lms/core/taskscheduler.hpp"
 #include "lms/json/json.hpp"
 #include "lms/tsdb/query.hpp"
 #include "lms/tsdb/storage.hpp"
@@ -42,15 +36,10 @@ struct RunResult {
   std::uint64_t queries_served = 0;
 };
 
-RunResult run_ingest(std::size_t stripes, int writer_threads, bool offload = false) {
+RunResult run_ingest(std::size_t stripes, int writer_threads) {
   tsdb::Storage storage(stripes);
   storage.database("lms");  // pre-create so queriers never miss it
   tsdb::Engine engine(storage);
-  std::unique_ptr<core::TaskScheduler> sched;
-  if (offload) {
-    sched = std::make_unique<core::TaskScheduler>();
-    storage.set_scheduler(sched.get());
-  }
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> queries{0};
@@ -96,12 +85,6 @@ RunResult run_ingest(std::size_t stripes, int writer_threads, bool offload = fal
   const double wall_ns = static_cast<double>(util::monotonic_now_ns() - start);
   stop.store(true);
   for (auto& t : queriers) t.join();
-  if (sched != nullptr) {
-    // Quiesce before the storage goes out of scope: queued drain tasks
-    // capture shard references.
-    storage.set_scheduler(nullptr);
-    sched->stop();
-  }
 
   RunResult res;
   res.wall_ms = wall_ns / 1e6;
@@ -123,31 +106,20 @@ int main() {
   const int writer_counts[] = {1, 4, 8};
   json::Array runs;
   double speedup_at_8 = 0;
-  double sched_speedup_at_8 = 0;
   for (const int writers : writer_counts) {
     const RunResult single = run_ingest(1, writers);
     const RunResult sharded = run_ingest(tsdb::Database::kDefaultShards, writers);
-    const RunResult offload =
-        run_ingest(tsdb::Database::kDefaultShards, writers, /*offload=*/true);
     const double speedup = sharded.points_per_sec / single.points_per_sec;
-    const double sched_speedup = offload.points_per_sec / single.points_per_sec;
-    if (writers == 8) {
-      speedup_at_8 = speedup;
-      sched_speedup_at_8 = sched_speedup;
-    }
+    if (writers == 8) speedup_at_8 = speedup;
     std::printf("%-22s %8d %12.2f %12.1f %10llu\n", "single-stripe", writers,
                 single.points_per_sec / 1e6, single.wall_ms,
                 static_cast<unsigned long long>(single.queries_served));
     std::printf("%-22s %8d %12.2f %12.1f %10llu   (%.2fx)\n", "sharded-16", writers,
                 sharded.points_per_sec / 1e6, sharded.wall_ms,
                 static_cast<unsigned long long>(sharded.queries_served), speedup);
-    std::printf("%-22s %8d %12.2f %12.1f %10llu   (%.2fx)\n", "sharded-16+sched", writers,
-                offload.points_per_sec / 1e6, offload.wall_ms,
-                static_cast<unsigned long long>(offload.queries_served), sched_speedup);
-    for (const auto* r : {&single, &sharded, &offload}) {
+    for (const auto* r : {&single, &sharded}) {
       json::Object o;
       o["stripes"] = (r == &single) ? 1 : static_cast<std::int64_t>(tsdb::Database::kDefaultShards);
-      o["scheduler"] = (r == &offload);
       o["writer_threads"] = writers;
       o["points_per_sec"] = r->points_per_sec;
       o["wall_ms"] = r->wall_ms;
@@ -167,9 +139,7 @@ int main() {
   top["query_threads"] = kQueryThreads;
   top["runs"] = std::move(runs);
   top["speedup_8_writers"] = speedup_at_8;
-  top["sched_speedup_8_writers"] = sched_speedup_at_8;
-  std::printf("\nsharded speedup at 8 writers: %.2fx   with scheduler offload: %.2fx\n",
-              speedup_at_8, sched_speedup_at_8);
+  std::printf("\nsharded speedup at 8 writers: %.2fx\n", speedup_at_8);
   return bench::write_baseline("BENCH_tsdb_ingest.json",
                                json::Value(std::move(top)).dump_pretty())
              ? 0

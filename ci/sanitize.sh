@@ -6,11 +6,12 @@
 # producers-vs-exporter-vs-sampling test), net (TCP transport, pub/sub HWM),
 # alert (evaluator vs. gauge callbacks), tsdb (sharded storage under
 # concurrent writers/queries/retention, trace assembly), router (async
-# ingest flusher task, trace context hand-off to the flusher), profiling
+# ingest flusher task, trace context hand-off to the flusher, concurrent
+# spool flushes), profiling
 # (concurrent region markers against the per-thread stacks and shared
 # aggregates of the marker SDK), core_sched (the TaskScheduler runtime:
 # work stealing, pinned affinity lanes, timer heap, periodic fixed-delay
-# re-arm, shutdown drain, and the TSDB staged-write offload), cpuprofile
+# re-arm, shutdown drain), cpuprofile
 # (the sampling CPU profiler: SIGPROF handler vs. the per-thread SPSC rings
 # vs. the fold task, plus the timer-mode busy-loop capture — TSan/ASan are
 # the strongest checks that the signal-context ring writes are race- and

@@ -240,7 +240,7 @@ int main(int argc, char** argv) {
     spool_rule.kind = alert::ConditionKind::kRateOfChange;
     spool_rule.measurement = "lms_internal";
     spool_rule.field = "value";
-    spool_rule.tag_filters = {{"metric", "router_spool_depth"}};
+    spool_rule.tag_filters = {{"metric", "router_spool_points"}};
     spool_rule.cmp = alert::Comparison::kAbove;
     spool_rule.threshold = 0;
     spool_rule.window = util::kNanosPerMinute;

@@ -1,7 +1,7 @@
 #include "lms/core/router.hpp"
 
-#include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "lms/json/json.hpp"
 #include "lms/lineproto/codec.hpp"
@@ -226,22 +226,14 @@ util::Result<std::size_t> MetricsRouter::forward_sync(tsdb::WriteBatch& batch) {
   }
   points_out_.inc(batch.points.size());
 
-  // Optional duplication into per-user databases, grouped by the user tag
-  // the enrichment just attached.
-  if (options_.duplicate_per_user) {
-    std::map<std::string, std::vector<lineproto::Point>> per_user;
-    for (const auto& p : batch.points) {
-      const std::string_view user = p.tag("user");
-      if (!user.empty()) per_user[std::string(user)].push_back(p);
-    }
-    for (const auto& [user, user_points] : per_user) {
-      if (auto out = forward(options_.user_db_prefix + user, user_points); !out.status.ok()) {
-        LMS_WARN("router") << "per-user duplication for '" << user
-                           << "' failed: " << out.status.message();
-        forward_failures_.inc();
-      } else {
-        points_duplicated_.inc(user_points.size());
-      }
+  // Optional duplication into per-user databases.
+  for (const auto& [user, user_points] : per_user_copies(batch.points)) {
+    if (auto out = forward(options_.user_db_prefix + user, user_points); !out.status.ok()) {
+      LMS_WARN("router") << "per-user duplication for '" << user
+                         << "' failed: " << out.status.message();
+      forward_failures_.inc();
+    } else {
+      points_duplicated_.inc(user_points.size());
     }
   }
   // Publish the enriched batch for attached stream analyzers (a batch that
@@ -252,16 +244,21 @@ util::Result<std::size_t> MetricsRouter::forward_sync(tsdb::WriteBatch& batch) {
   return batch.points.size();
 }
 
+std::map<std::string, std::vector<lineproto::Point>> MetricsRouter::per_user_copies(
+    const std::vector<lineproto::Point>& points) const {
+  std::map<std::string, std::vector<lineproto::Point>> per_user;
+  if (!options_.duplicate_per_user) return per_user;
+  for (const auto& p : points) {
+    const std::string_view user = p.tag("user");
+    if (!user.empty()) per_user[std::string(user)].push_back(p);
+  }
+  return per_user;
+}
+
 util::Result<std::size_t> MetricsRouter::enqueue_ingest(const tsdb::WriteBatch& batch) {
   // Route once at accept time: the primary destination plus the per-user
   // duplicates; the flusher only moves bytes after this.
-  std::map<std::string, std::vector<lineproto::Point>> per_user;
-  if (options_.duplicate_per_user) {
-    for (const auto& p : batch.points) {
-      const std::string_view user = p.tag("user");
-      if (!user.empty()) per_user[std::string(user)].push_back(p);
-    }
-  }
+  auto per_user = per_user_copies(batch.points);
   std::size_t incoming = batch.points.size();
   for (const auto& [user, pts] : per_user) incoming += pts.size();
 
@@ -356,6 +353,9 @@ void MetricsRouter::forward_ingest(IngestBatch batch) {
 }
 
 std::size_t MetricsRouter::flush_ingest() {
+  // The flusher is what runs while no writes arrive, so it retries the
+  // spool too; forward_sync() retries it only when a new write comes in.
+  if (options_.spool_capacity > 0) flush_spool();
   std::size_t total = 0;
   for (;;) {
     std::vector<IngestBatch> batches;
@@ -379,18 +379,20 @@ std::size_t MetricsRouter::ingest_queue_points() const {
 }
 
 void MetricsRouter::spool_points(const std::vector<lineproto::Point>& points) {
-  std::size_t dropped = 0;
   {
     const core::sync::LockGuard lock(spool_mu_);
-    for (const auto& p : points) {
-      if (spool_.size() >= options_.spool_capacity) {
-        spool_.pop_front();
-        ++dropped;
-      }
-      spool_.push_back(p);
-    }
+    spool_.insert(spool_.end(), points.begin(), points.end());
+    trim_spool_locked();
   }
   points_spooled_.inc(points.size());
+}
+
+void MetricsRouter::trim_spool_locked() {
+  std::size_t dropped = 0;
+  while (spool_.size() > options_.spool_capacity) {
+    spool_.pop_front();
+    ++dropped;
+  }
   spool_dropped_.inc(dropped);
 }
 
@@ -506,21 +508,24 @@ MetricsRouter::Stats MetricsRouter::stats() const {
 }
 
 std::size_t MetricsRouter::flush_spool() {
+  // Take the spool out, so a concurrent flush finds it empty instead of
+  // sending the same points again, and evictions while the forward runs
+  // only touch points spooled after it started.
   std::vector<lineproto::Point> batch;
   {
     const core::sync::LockGuard lock(spool_mu_);
     if (spool_.empty()) return 0;
-    batch.assign(spool_.begin(), spool_.end());
+    batch.assign(std::make_move_iterator(spool_.begin()), std::make_move_iterator(spool_.end()));
+    spool_.clear();
   }
   if (auto out = forward(options_.database, batch); !out.status.ok()) {
-    return 0;  // still down; keep the spool
-  }
-  {
+    // Still down: put the points back ahead of anything spooled meanwhile,
+    // then drop the oldest beyond capacity.
     const core::sync::LockGuard lock(spool_mu_);
-    // Concurrent writers may have appended while we forwarded; remove only
-    // what we actually sent.
-    const std::size_t n = std::min(batch.size(), spool_.size());
-    spool_.erase(spool_.begin(), spool_.begin() + static_cast<std::ptrdiff_t>(n));
+    spool_.insert(spool_.begin(), std::make_move_iterator(batch.begin()),
+                  std::make_move_iterator(batch.end()));
+    trim_spool_locked();
+    return 0;
   }
   points_out_.inc(batch.size());
   return batch.size();

@@ -89,9 +89,10 @@ class MetricsRouter : public Runnable {
     bool publish = true;  ///< publish to the broker when one is attached
     /// Store-and-forward: when > 0, points that cannot be forwarded (DB
     /// down) are spooled — bounded, oldest dropped first — and the write is
-    /// acknowledged to the producer; the spool drains on later writes or an
-    /// explicit flush_spool(). 0 disables spooling: forward failures are
-    /// reported back to the producer, which keeps its own retry queue.
+    /// acknowledged to the producer; the spool drains on later writes, on
+    /// every async flush, or on an explicit flush_spool(). 0 disables
+    /// spooling: forward failures are reported back to the producer, which
+    /// keeps its own retry queue.
     std::size_t spool_capacity = 0;
     /// Batched async ingest: accepted writes are routed into bounded
     /// per-destination queues and forwarded by a periodic "router.flusher"
@@ -178,14 +179,16 @@ class MetricsRouter : public Runnable {
   /// /stats serve).
   obs::Registry& registry() { return *registry_; }
 
-  /// Attempt to forward everything spooled; returns points drained.
+  /// Attempt to forward everything spooled; returns points drained. Safe to
+  /// call concurrently: each spooled point is sent by one call only.
   std::size_t flush_spool();
+  /// Points in the spool, not counting those a flush_spool() is sending.
   std::size_t spool_size() const;
 
-  /// Drain the async ingest queues now (all destinations, until empty);
-  /// returns points forwarded or dropped. The flusher calls this on its
-  /// interval; tests and shutdown call it for determinism. No-op (0) when
-  /// async ingest is off.
+  /// Retry the spool (when spooling is on), then drain the async ingest
+  /// queues (all destinations, until empty); returns the queued points
+  /// forwarded or dropped, 0 when async ingest is off. The flusher calls
+  /// this on its interval; tests and shutdown call it for determinism.
   std::size_t flush_ingest();
 
   /// Points currently buffered across all async ingest queues.
@@ -233,6 +236,13 @@ class MetricsRouter : public Runnable {
       LMS_REQUIRES(ingest_mu_);
   void forward_ingest(IngestBatch batch);
   void spool_points(const std::vector<lineproto::Point>& points);
+  /// Drop the oldest spooled points beyond spool_capacity (counted in
+  /// router_spool_dropped).
+  void trim_spool_locked() LMS_REQUIRES(spool_mu_);
+  /// The per-user duplicates of `points`, keyed by their `user` tag (points
+  /// without one are skipped); empty unless duplicate_per_user is set.
+  std::map<std::string, std::vector<lineproto::Point>> per_user_copies(
+      const std::vector<lineproto::Point>& points) const;
   net::HttpResponse handle_write(const net::HttpRequest& req);
   net::HttpResponse handle_job_start(const net::HttpRequest& req);
   net::HttpResponse handle_job_end(const net::HttpRequest& req);

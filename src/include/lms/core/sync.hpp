@@ -151,7 +151,6 @@ enum class Rank : int {
   kRouterSpool = 56,         ///< router disk-spool deque
   kRouterJobs = 57,          ///< router running-job table
   kTsdbMap = 60,             ///< storage database map
-  kTsdbStage = 63,           ///< per-shard staged-write buffers (scheduler offload)
   kTsdbShard = 65,           ///< series shard stripes (seq = shard index)
   kTsdbAux = 70,             ///< slow-query ring
   kQueue = 80,               ///< util::BoundedQueue internal lock

@@ -170,11 +170,6 @@ class TaskScheduler {
   bool manual() const { return options_.manual; }
   bool stopped() const { return stopped_.load(std::memory_order_acquire); }
 
-  /// True when the calling thread is a worker of *any* TaskScheduler.
-  /// Components that block waiting for an offloaded task use this to fall
-  /// back to inline execution instead of deadlocking the pool.
-  static bool on_worker_thread();
-
   const runtime::SchedStats& stats() const { return stats_; }
 
  private:
@@ -393,10 +388,6 @@ inline TaskScheduler::TaskScheduler(Options options) : options_(options) {
 inline TaskScheduler::~TaskScheduler() {
   stop();
   runtime::unregister_scheduler(&stats_);
-}
-
-inline bool TaskScheduler::on_worker_thread() {
-  return sched_detail::tls_scheduler != nullptr;
 }
 
 inline util::TimeNs TaskScheduler::scheduler_now() const {

@@ -30,19 +30,11 @@
 // of that batch (per-stripe atomicity, not per-batch) — acceptable for a
 // monitoring store and the price of not having a global lock.
 //
-// Scheduler offload (set_scheduler): with a core::TaskScheduler attached,
-// a writer that finds a stripe contended does not join the convoy blocking
-// on the stripe mutex. It stages its per-stripe point group into the
-// shard's staging buffer (a tiny kTsdbStage lock) and a single drain task —
-// pinned to the stripe index, so same-stripe drains always land on the same
-// worker and are never concurrent — applies every staged group under ONE
-// stripe acquisition, then wakes the waiting writers. Semantics are
-// unchanged (write() still returns only after the points are applied:
-// read-your-writes holds); what changes is that N convoying writers become
-// one drain task, so stripe lock-wait and handoff churn collapse. Writers
-// on scheduler worker threads (e.g. the router's flusher task) apply
-// inline — a worker must never block waiting on work only another task on
-// the same worker could perform.
+// One write path: write_batch buckets a batch's points by stripe, then
+// applies each bucket under its stripe's write lock, one stripe at a time,
+// so a writer never holds two stripes and takes each once per batch. A
+// single-stripe database (Storage(1)) runs the same loop with one bucket;
+// it is the global-lock baseline bench_tsdb_ingest measures sharding by.
 
 #include <cstdint>
 #include <functional>
@@ -57,7 +49,6 @@
 #include <vector>
 
 #include "lms/core/sync.hpp"
-#include "lms/core/taskscheduler.hpp"
 #include "lms/lineproto/point.hpp"
 #include "lms/util/status.hpp"
 
@@ -218,13 +209,6 @@ class Database {
   std::size_t write_batch(const std::vector<Point>& points, TimeNs default_time,
                           TimeNs timestamp_scale = 1);
 
-  /// Attach (or detach with nullptr) the scheduler used for contended-write
-  /// offload — see the header comment. Call before concurrent writers start;
-  /// the scheduler must outlive all writes.
-  void set_scheduler(core::TaskScheduler* sched) {
-    sched_.store(sched, std::memory_order_release);
-  }
-
   /// All series of a measurement (pointers stable while a ReadSnapshot is
   /// held; single-threaded callers: until the next retention run).
   std::vector<const Series*> series_of(std::string_view measurement) const;
@@ -272,49 +256,24 @@ class Database {
   /// ReadSnapshot's blocking fallback relies on. The data members are not
   /// GUARDED_BY(mu): read accessors deliberately take no lock (the snapshot
   /// protocol pins the stripes instead), which static analysis cannot see.
-  /// One writer's points for one stripe, parked while a drain task owns the
-  /// stripe. Stack-allocated by the staging writer, which blocks on
-  /// stage_cv until `done` — so the pointers stay valid for the drain.
-  struct StagedGroup {
-    const std::vector<const Point*>* bucket = nullptr;
-    TimeNs default_time = 0;
-    TimeNs timestamp_scale = 1;
-    std::size_t rejected = 0;  // set by the drain before `done`
-    bool done = false;         // guarded by the shard's stage_mu
-  };
-
   struct Shard {
     explicit Shard(std::size_t stripe)
-        : mu(core::sync::Rank::kTsdbShard, "tsdb.shard", stripe),
-          stage_mu(core::sync::Rank::kTsdbStage, "tsdb.stage", stripe) {}
+        : mu(core::sync::Rank::kTsdbShard, "tsdb.shard", stripe) {}
     mutable core::sync::SharedMutex mu;
     std::map<SeriesKey, std::unique_ptr<Series>> series;
     // measurement -> tag key -> tag value -> series pointers
     std::map<std::string, std::map<std::string, std::map<std::string, std::set<Series*>>>> index;
     std::map<std::string, std::set<Series*>> by_measurement;
-    /// Staging lane for the scheduler offload. stage_mu ranks below the
-    /// stripe mutex and is only ever held for queue flips, never across the
-    /// actual series writes.
-    core::sync::Mutex stage_mu;
-    core::sync::CondVar stage_cv;
-    std::vector<StagedGroup*> staged LMS_GUARDED_BY(stage_mu);
-    bool drain_pending LMS_GUARDED_BY(stage_mu) = false;
   };
 
   std::size_t shard_of(const Point& point) const;
   /// Returns the number of field values rejected for a type conflict.
   std::size_t write_into(Shard& shard, const Point& point, TimeNs t) const;
-  /// Apply one bucketed group; the caller holds the stripe exclusively.
-  std::size_t apply_group(Shard& shard, const StagedGroup& group) const;
-  /// Drain task body: apply every staged group of `shard` under one stripe
-  /// acquisition, repeat until the staging buffer is empty.
-  void drain_stage(Shard& shard);
   std::size_t drop_before_shard(Shard& shard, TimeNs cutoff,
                                 const std::function<bool(const std::string&)>& pred);
 
   std::string name_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<core::TaskScheduler*> sched_{nullptr};
 };
 
 /// Multi-database storage — the unit the HTTP API serves. The database map
@@ -338,11 +297,6 @@ class Storage {
   /// Acquire a read snapshot of one database. Empty when the database does
   /// not exist — test with operator bool.
   ReadSnapshot snapshot(const std::string& name) const;
-
-  /// Attach (or detach with nullptr) the scheduler used for contended-write
-  /// offload, applied to every existing and future database. Call before
-  /// concurrent writers start; the scheduler must outlive all writes.
-  void set_scheduler(core::TaskScheduler* sched);
 
   /// Apply a write batch (database created on demand). Returns the number of
   /// field values rejected for a type conflict.
@@ -374,7 +328,6 @@ class Storage {
   Database& get_or_create(const std::string& name);
 
   std::size_t shards_per_db_ = Database::kDefaultShards;
-  core::TaskScheduler* sched_ LMS_GUARDED_BY(mu_) = nullptr;
   /// Guards dbs_ (map structure only). Ranked below the shard locks: the
   /// snapshot path resolves the Database under mu_, drops it, then takes the
   /// stripe locks.

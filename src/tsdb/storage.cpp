@@ -225,116 +225,24 @@ std::size_t Database::write(const Point& point, TimeNs default_time) {
   return write_into(shard, point, t);
 }
 
-std::size_t Database::apply_group(Shard& shard, const StagedGroup& group) const {
-  std::size_t rejected = 0;
-  for (const Point* p : *group.bucket) {
-    const TimeNs t =
-        p->timestamp != 0 ? p->timestamp * group.timestamp_scale : group.default_time;
-    rejected += write_into(shard, *p, t);
-  }
-  return rejected;
-}
-
-void Database::drain_stage(Shard& shard) {
-  for (;;) {
-    std::vector<StagedGroup*> groups;
-    {
-      const core::sync::LockGuard lock(shard.stage_mu);
-      if (shard.staged.empty()) {
-        shard.drain_pending = false;
-        return;
-      }
-      groups.swap(shard.staged);
-    }
-    {
-      // The one blocking stripe acquisition on this path: every group staged
-      // while the stripe was busy lands under it together.
-      const core::sync::WriteLockGuard lock(shard.mu);
-      for (StagedGroup* g : groups) g->rejected = apply_group(shard, *g);
-    }
-    {
-      const core::sync::LockGuard lock(shard.stage_mu);
-      for (StagedGroup* g : groups) g->done = true;
-    }
-    shard.stage_cv.notify_all();
-  }
-}
-
 std::size_t Database::write_batch(const std::vector<Point>& points, TimeNs default_time,
                                   TimeNs timestamp_scale) {
   if (points.empty()) return 0;
   if (timestamp_scale <= 0) timestamp_scale = 1;
-  std::size_t rejected = 0;
-  if (shards_.size() == 1) {
-    Shard& shard = *shards_[0];
-    const core::sync::WriteLockGuard lock(shard.mu);
-    for (const auto& p : points) {
-      const TimeNs t = p.timestamp != 0 ? p.timestamp * timestamp_scale : default_time;
-      rejected += write_into(shard, p, t);
-    }
-    return rejected;
-  }
   // Bucket per stripe so each stripe mutex is taken exactly once per batch.
   std::vector<std::vector<const Point*>> buckets(shards_.size());
   for (const auto& p : points) {
     buckets[shard_of(p)].push_back(&p);
   }
-  // Offload is off without a scheduler, and a scheduler worker always writes
-  // inline: a worker blocking on a drain pinned to its own lane would
-  // deadlock, and the flusher task already owns its batch end to end.
-  core::TaskScheduler* sched = sched_.load(std::memory_order_acquire);
-  if (sched != nullptr &&
-      (sched->manual() || sched->stopped() || core::TaskScheduler::on_worker_thread())) {
-    sched = nullptr;
-  }
-  std::vector<StagedGroup> staged;
-  std::vector<Shard*> staged_shards;
-  if (sched != nullptr) {
-    staged.reserve(buckets.size());  // stable addresses: drains hold pointers
-    staged_shards.reserve(buckets.size());
-  }
+  std::size_t rejected = 0;
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     if (buckets[i].empty()) continue;
     Shard& shard = *shards_[i];
-    if (sched == nullptr) {
-      const core::sync::WriteLockGuard lock(shard.mu);
-      for (const Point* p : buckets[i]) {
-        const TimeNs t = p->timestamp != 0 ? p->timestamp * timestamp_scale : default_time;
-        rejected += write_into(shard, *p, t);
-      }
-      continue;
+    const core::sync::WriteLockGuard lock(shard.mu);
+    for (const Point* p : buckets[i]) {
+      const TimeNs t = p->timestamp != 0 ? p->timestamp * timestamp_scale : default_time;
+      rejected += write_into(shard, *p, t);
     }
-    StagedGroup group{&buckets[i], default_time, timestamp_scale, 0, false};
-    if (shard.mu.try_lock()) {
-      // Uncontended stripe: apply inline, no convoy to join.
-      rejected += apply_group(shard, group);
-      shard.mu.unlock();
-      continue;
-    }
-    // Contended: park the group and let the stripe's drain task batch it
-    // with everyone else's instead of piling onto the stripe mutex.
-    staged.push_back(group);
-    staged_shards.push_back(&shard);
-    bool schedule = false;
-    {
-      const core::sync::LockGuard lock(shard.stage_mu);
-      shard.staged.push_back(&staged.back());
-      if (!shard.drain_pending) {
-        shard.drain_pending = true;
-        schedule = true;
-      }
-    }
-    if (schedule) {
-      sched->submit([this, &shard] { drain_stage(shard); },
-                    static_cast<std::uint64_t>(i));
-    }
-  }
-  // Wait for every staged group: write_batch keeps read-your-writes.
-  for (std::size_t i = 0; i < staged.size(); ++i) {
-    Shard& shard = *staged_shards[i];
-    core::sync::UniqueLock lock(shard.stage_mu);
-    while (!staged[i].done) shard.stage_cv.wait(lock);
-    rejected += staged[i].rejected;
   }
   return rejected;
 }
@@ -513,15 +421,8 @@ Database& Storage::get_or_create(const std::string& name) {
   auto it = dbs_.find(name);
   if (it == dbs_.end()) {
     it = dbs_.emplace(name, std::make_unique<Database>(name, shards_per_db_)).first;
-    it->second->set_scheduler(sched_);
   }
   return *it->second;
-}
-
-void Storage::set_scheduler(core::TaskScheduler* sched) {
-  const core::sync::WriteLockGuard lock(mu_);
-  sched_ = sched;
-  for (const auto& [_, db] : dbs_) db->set_scheduler(sched);
 }
 
 Database& Storage::database(const std::string& name) { return get_or_create(name); }

@@ -15,7 +15,6 @@
 #include "lms/core/runnable.hpp"
 #include "lms/core/runtime.hpp"
 #include "lms/core/taskscheduler.hpp"
-#include "lms/tsdb/storage.hpp"
 #include "lms/util/clock.hpp"
 
 namespace {
@@ -334,72 +333,6 @@ TEST(Runnable, AttachDetachLifecycle) {
   comp.attach(sched);
   EXPECT_TRUE(comp.attached());
   comp.detach();
-}
-
-TEST(TaskScheduler, StorageOffloadPreservesEveryWrite) {
-  // Contended multi-writer ingest through the staged-write offload: every
-  // point must land exactly once, same as the plain blocking path, and
-  // writes issued from a scheduler worker (the flusher case) go inline.
-  TaskScheduler::Options opts;
-  opts.workers = 2;
-  opts.name = "test.sched.offload";
-  TaskScheduler sched(opts);
-  lms::tsdb::Storage storage;
-  storage.database("lms");
-  storage.set_scheduler(&sched);
-
-  constexpr int kWriters = 4;
-  constexpr int kBatches = 50;
-  constexpr int kBatch = 40;
-  std::vector<std::thread> writers;
-  writers.reserve(kWriters);
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&storage, w] {
-      std::vector<lms::lineproto::Point> batch;
-      for (int b = 0; b < kBatches; ++b) {
-        batch.clear();
-        for (int i = 0; i < kBatch; ++i) {
-          lms::lineproto::Point p;
-          p.measurement = "cpu";
-          p.set_tag("hostname", "w" + std::to_string(w) + "h" + std::to_string(i % 16));
-          p.add_field("v", static_cast<double>(b * kBatch + i));
-          p.timestamp = 1 + b * kBatch + i;
-          p.normalize();
-          batch.push_back(std::move(p));
-        }
-        storage.write("lms", batch, 1);
-      }
-    });
-  }
-  for (auto& t : writers) t.join();
-
-  // A write from a worker thread takes the inline path (no self-deadlock).
-  std::atomic<bool> inner_done{false};
-  sched.submit([&storage, &inner_done] {
-    std::vector<lms::lineproto::Point> batch;
-    lms::lineproto::Point p;
-    p.measurement = "cpu";
-    p.set_tag("hostname", "worker");
-    p.add_field("v", 1.0);
-    p.timestamp = 7;
-    p.normalize();
-    batch.push_back(std::move(p));
-    storage.write("lms", batch, 1);
-    inner_done.store(true);
-  });
-  spin_until([&] { return inner_done.load(); });
-  ASSERT_TRUE(inner_done.load());
-
-  {
-    // Scoped: the snapshot holds every stripe shared, and set_scheduler
-    // takes the storage map lock, which ranks below the stripes.
-    const auto snap = storage.snapshot("lms");
-    ASSERT_TRUE(static_cast<bool>(snap));
-    EXPECT_EQ(snap->sample_count(),
-              static_cast<std::size_t>(kWriters) * kBatches * kBatch + 1);
-  }
-  storage.set_scheduler(nullptr);
-  sched.stop();
 }
 
 TEST(TaskScheduler, QueueDelayRecordedPerTaskName) {

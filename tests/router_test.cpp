@@ -1,10 +1,13 @@
 // Tests for the paper's core component: the metrics router — tag store,
 // enrichment keyed by the hostname tag, job start/end signals, per-user
-// duplication, PUB/SUB publication — plus the Ganglia pulling proxy.
+// duplication, PUB/SUB publication, the spool under async and concurrent
+// flushes — plus the Ganglia pulling proxy.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "lms/core/pullproxy.hpp"
@@ -345,6 +348,129 @@ TEST_F(RouterTest, AsyncIngestBackgroundFlusherDelivers) {
   }
   EXPECT_EQ(storage_.totals().samples, 1u);
   EXPECT_EQ(router_->ingest_queue_points(), 0u);
+}
+
+// ---------------------------------------------------------------- spool
+
+/// A TSDB whose next /write, once `armed`, parks until `release`; every
+/// other request fails with 503 while `down` is set. Lets a test hold one
+/// flush_spool() forward in flight while other calls run.
+struct GatedDb {
+  net::InprocNetwork network;
+  tsdb::Storage storage;
+  util::SimClock clock{0};
+  tsdb::HttpApi api{storage, clock};
+  std::atomic<bool> down{false};
+  std::atomic<bool> armed{false};
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+
+  GatedDb() {
+    network.bind("tsdb", [this](const net::HttpRequest& req) {
+      if (req.path == "/write" && armed.exchange(false)) {
+        parked = true;
+        for (int i = 0; i < 5000 && !release; ++i) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return api.handler()(req);
+      }
+      if (down) return net::HttpResponse::text(503, "db down");
+      return api.handler()(req);
+    });
+  }
+
+  void wait_parked() const {
+    for (int i = 0; i < 5000 && !parked; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+};
+
+void spool_writes(MetricsRouter& router, int from, int to) {
+  for (int i = from; i < to; ++i) {
+    ASSERT_TRUE(router
+                    .write_lines("cpu,hostname=h1 v=" + std::to_string(i) + " " +
+                                 std::to_string((i + 1) * 1000) + "\n")
+                    .ok());
+  }
+}
+
+TEST(RouterSpoolTest, AsyncFlushDrainsSpoolWithoutNewWrites) {
+  GatedDb db;
+  net::InprocHttpClient client(db.network);
+  MetricsRouter::Options opts;
+  opts.db_url = "inproc://tsdb";
+  opts.spool_capacity = 100;
+  opts.async_ingest = true;
+  opts.ingest_flush_interval = util::kNanosPerHour;  // flush on demand only
+  MetricsRouter router(client, db.clock, opts);
+
+  db.down = true;
+  ASSERT_TRUE(router.write_lines("cpu,hostname=h1 v=1 1000\ncpu,hostname=h1 v=2 2000\n").ok());
+  EXPECT_EQ(router.flush_ingest(), 2u);  // the forward fails: the batch is spooled
+  EXPECT_EQ(router.spool_size(), 2u);
+
+  db.down = false;
+  // No new write arrives; the flush alone must retry the spool.
+  EXPECT_EQ(router.flush_ingest(), 0u);
+  EXPECT_EQ(router.spool_size(), 0u);
+  ASSERT_NE(db.storage.find_database("lms"), nullptr);
+  EXPECT_EQ(db.storage.find_database("lms")->sample_count(), 2u);
+  EXPECT_EQ(router.stats().points_out, 2u);
+}
+
+TEST(RouterSpoolTest, ConcurrentFlushSpoolSendsEachPointOnce) {
+  GatedDb db;
+  net::InprocHttpClient client(db.network);
+  MetricsRouter::Options opts;
+  opts.db_url = "inproc://tsdb";
+  opts.spool_capacity = 100;
+  MetricsRouter router(client, db.clock, opts);
+  db.down = true;
+  spool_writes(router, 0, 5);
+  ASSERT_EQ(router.spool_size(), 5u);
+
+  db.down = false;
+  db.armed = true;
+  std::thread first([&router] { (void)router.flush_spool(); });
+  db.wait_parked();
+  ASSERT_TRUE(db.parked);
+  // A second flush starts while the first one's forward is in flight.
+  (void)router.flush_spool();
+  db.release = true;
+  first.join();
+  (void)router.flush_spool();
+
+  EXPECT_EQ(router.spool_size(), 0u);
+  EXPECT_EQ(db.storage.find_database("lms")->sample_count(), 5u);
+  EXPECT_EQ(router.stats().points_out, 5u);
+}
+
+TEST(RouterSpoolTest, PointsSpooledDuringFlushAreKept) {
+  GatedDb db;
+  net::InprocHttpClient client(db.network);
+  MetricsRouter::Options opts;
+  opts.db_url = "inproc://tsdb";
+  opts.spool_capacity = 5;
+  MetricsRouter router(client, db.clock, opts);
+  db.down = true;
+  spool_writes(router, 0, 3);
+
+  // The flush's forward parks; the writes below still find the DB down and
+  // spool 4 more points. Only the 3 in flight may leave the spool.
+  db.armed = true;
+  std::thread first([&router] { (void)router.flush_spool(); });
+  db.wait_parked();
+  ASSERT_TRUE(db.parked);
+  spool_writes(router, 3, 7);
+  db.down = false;
+  db.release = true;
+  first.join();
+  (void)router.flush_spool();
+
+  EXPECT_EQ(router.spool_size(), 0u);
+  EXPECT_EQ(router.stats().spool_dropped, 0u);
+  EXPECT_EQ(db.storage.find_database("lms")->sample_count(), 7u);
 }
 
 // ---------------------------------------------------------------- shared errors
