@@ -46,14 +46,15 @@ constexpr int kWriters = 8;
 const int kBatchesPerWriter = bench::scaled(120, 8);
 constexpr int kBatchPoints = 100;
 // Each timed run repeats the ingest over kPasses fresh Storage instances:
-// runs must be ~1 s long for the best-of-N process-CPU minima to converge
+// runs must be ~1 s long for the per-config process-CPU medians to settle
 // (on a virtualized single-core box, IRQ/steal accounting puts ~±10% noise
 // on a ~200 ms run but only ~±1% on a ~1 s run, measured with a trivial
 // SIGPROF handler), and fresh storage per pass keeps the insert cost linear
-// — all writers share 16 series, so growing one storage 5x instead would
-// tilt the workload toward superlinear sorted inserts.
-const int kPasses = bench::scaled(5, 1);
-const int kReps = bench::scaled(5, 1);  // best-of to shrug off scheduler noise
+// — all writers share 16 series, so growing one storage that much would
+// tilt the workload toward superlinear sorted inserts. 40 passes take
+// ~1 s at ~3.6 M pts/s on 4 vCPUs.
+const int kPasses = bench::scaled(40, 1);
+const int kReps = bench::scaled(7, 1);  // repetitions: median and range
 
 struct Config {
   const char* name;
@@ -222,7 +223,7 @@ int main() {
       {"500hz", true, 500},
   };
   std::printf("=== bench_cpuprofile: %d passes x %d writers x %d batches x %d points "
-              "through router -> TSDB, best of %d, %u hardware threads ===\n\n",
+              "through router -> TSDB, median of %d, %u hardware threads ===\n\n",
               kPasses, kWriters, kBatchesPerWriter, kBatchPoints, kReps, hw);
   std::printf("%-10s %12s %10s %10s %10s %12s\n", "config", "Mpts/s", "wall ms", "cpu ms",
               "samples", "cpu ovhd");
@@ -230,59 +231,75 @@ int main() {
   // Interleave the configs round-robin (off, 99hz, 500hz, off, ...) so
   // slow drift — allocator warmup, frequency scaling, a noisy neighbour on
   // a shared box — hits every config equally instead of biasing whichever
-  // ran first; best-of-N then absorbs the upward spikes.
+  // ran first. The overhead is taken per round against that round's "off"
+  // run, and every figure is reported as median and range over the rounds.
   constexpr int kConfigs = static_cast<int>(sizeof(configs) / sizeof(configs[0]));
-  RunResult bests[kConfigs];
+  struct PerConfig {
+    std::vector<double> points_per_sec, wall_ms, cpu_ms, overhead_pct;
+    std::uint64_t samples = 0;
+  };
+  PerConfig per[kConfigs];
   (void)run_ingest(configs[0]);  // warmup, discarded
   for (int r = 0; r < kReps; ++r) {
+    double off_cpu = 0;
     for (int c = 0; c < kConfigs; ++c) {
       const RunResult res = run_ingest(configs[c]);
-      if (bests[c].cpu_ms == 0 || res.cpu_ms < bests[c].cpu_ms) {
-        bests[c].cpu_ms = res.cpu_ms;
-        bests[c].points_per_sec = res.points_per_sec;
-        bests[c].wall_ms = res.wall_ms;
-      }
-      bests[c].samples += res.samples;
+      if (c == 0) off_cpu = res.cpu_ms;
+      per[c].points_per_sec.push_back(res.points_per_sec);
+      per[c].wall_ms.push_back(res.wall_ms);
+      per[c].cpu_ms.push_back(res.cpu_ms);
+      per[c].overhead_pct.push_back((res.cpu_ms - off_cpu) / off_cpu * 100.0);
+      per[c].samples += res.samples;
     }
   }
 
   json::Array runs;
-  double baseline_cpu = 0;
-  double e2e_99hz = 0;
+  bench::Spread e2e_99hz;
   for (int c = 0; c < kConfigs; ++c) {
     const Config& cfg = configs[c];
-    const RunResult& best = bests[c];
-    if (cfg.name == std::string("off")) baseline_cpu = best.cpu_ms;
-    const double overhead =
-        baseline_cpu > 0 ? (best.cpu_ms - baseline_cpu) / baseline_cpu * 100.0 : 0.0;
+    const bench::Spread pps = bench::spread(per[c].points_per_sec);
+    const bench::Spread wall = bench::spread(per[c].wall_ms);
+    const bench::Spread cpu = bench::spread(per[c].cpu_ms);
+    const bench::Spread overhead = bench::spread(per[c].overhead_pct);
     if (cfg.name == std::string("99hz")) e2e_99hz = overhead;
-    std::printf("%-10s %12.2f %10.1f %10.1f %10llu %10.1f%%\n", cfg.name,
-                best.points_per_sec / 1e6, best.wall_ms, best.cpu_ms,
-                static_cast<unsigned long long>(best.samples), overhead);
+    std::printf("%-10s %12.2f %10.1f %10.1f %10llu %10.1f%%  [%.1f, %.1f]\n", cfg.name,
+                pps.median / 1e6, wall.median, cpu.median,
+                static_cast<unsigned long long>(per[c].samples), overhead.median,
+                overhead.min, overhead.max);
     json::Object o;
     o["config"] = cfg.name;
     o["profiler_enabled"] = cfg.enabled;
     o["hz"] = cfg.hz;
-    o["points_per_sec"] = best.points_per_sec;
-    o["wall_ms"] = best.wall_ms;
-    o["cpu_ms"] = best.cpu_ms;
-    o["samples_captured"] = static_cast<std::int64_t>(best.samples);
-    o["cpu_overhead_pct"] = overhead;
+    bench::put_spread(o, "points_per_sec", pps);
+    bench::put_spread(o, "wall_ms", wall);
+    bench::put_spread(o, "cpu_ms", cpu);
+    o["samples_captured"] = static_cast<std::int64_t>(per[c].samples);
+    bench::put_spread(o, "cpu_overhead_pct", overhead);
     runs.emplace_back(std::move(o));
   }
 
-  const Calibration cal = calibrate_sample_cost();
   // A sample costs per_sample_us whenever it fires; at hz samples/sec
   // against one saturated core the profiler's share of process CPU time is
   // hz * per_sample_us / 1e6.
-  const double derived_99hz = 99.0 * cal.per_sample_us / 1e6 * 100.0;
-  std::printf("\nper-sample cost: %.2f us (%ld synchronous SIGPROF deliveries, "
+  std::vector<double> per_sample_us;
+  long signals = 0;
+  std::uint64_t captured = 0;
+  for (int r = 0; r < kReps; ++r) {
+    const Calibration cal = calibrate_sample_cost();
+    per_sample_us.push_back(cal.per_sample_us);
+    signals += cal.signals;
+    captured += cal.captured;
+  }
+  const bench::Spread sample_us = bench::spread(per_sample_us);
+  const double derived_99hz = 99.0 * sample_us.median / 1e6 * 100.0;
+  std::printf("\nper-sample cost: %.2f us [%.2f, %.2f] (%ld synchronous SIGPROF deliveries, "
               "%llu captured, depth-30 stack)\n",
-              cal.per_sample_us, cal.signals,
-              static_cast<unsigned long long>(cal.captured));
+              sample_us.median, sample_us.min, sample_us.max, signals,
+              static_cast<unsigned long long>(captured));
   std::printf("derived overhead at 99 Hz: %.3f%% of one core (bar: <2%%)\n", derived_99hz);
-  std::printf("end-to-end CPU differential at 99 Hz: %+.1f%% (noise floor of this box "
-              "is +/-3-5%%; corroborates the cost is below it)\n", e2e_99hz);
+  std::printf("end-to-end CPU differential at 99 Hz: %+.1f%% [%+.1f, %+.1f] (noise floor of "
+              "this box is +/-3-5%%; corroborates the cost is below it)\n",
+              e2e_99hz.median, e2e_99hz.min, e2e_99hz.max);
 
   json::Object top;
   top["bench"] = "bench_cpuprofile";
@@ -291,12 +308,13 @@ int main() {
   top["writers"] = kWriters;
   top["batches_per_writer"] = kBatchesPerWriter;
   top["batch_points"] = kBatchPoints;
+  top["reps"] = kReps;
   top["runs"] = std::move(runs);
-  top["per_sample_us"] = cal.per_sample_us;
-  top["calibration_signals"] = static_cast<std::int64_t>(cal.signals);
-  top["calibration_captured"] = static_cast<std::int64_t>(cal.captured);
+  bench::put_spread(top, "per_sample_us", sample_us);
+  top["calibration_signals"] = static_cast<std::int64_t>(signals);
+  top["calibration_captured"] = static_cast<std::int64_t>(captured);
   top["overhead_pct_99hz"] = derived_99hz;
-  top["e2e_cpu_overhead_pct_99hz"] = e2e_99hz;
+  bench::put_spread(top, "e2e_cpu_overhead_pct_99hz", e2e_99hz);
   return bench::write_baseline("BENCH_cpuprofile.json",
                                json::Value(std::move(top)).dump_pretty())
              ? 0

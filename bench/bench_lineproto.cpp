@@ -81,6 +81,52 @@ void BM_ParseLenientWithErrors(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseLenientWithErrors);
 
+/// The body the TSDB receives per forward on the stack benchmark's ingest
+/// workload: 1500 enriched points, each with hostname/jobid/user tags,
+/// 3 float fields and a timestamp.
+constexpr int kEnrichedBatch = 1500;
+
+std::vector<lineproto::Point> enriched_batch() {
+  util::Rng rng(7);
+  std::vector<lineproto::Point> batch;
+  batch.reserve(kEnrichedBatch);
+  for (int i = 0; i < kEnrichedBatch; ++i) {
+    lineproto::Point p;
+    p.measurement = "likwid_mem_dp";
+    p.set_tag("hostname", "node" + std::to_string(i % 64));
+    p.set_tag("jobid", std::to_string(4000 + i % 8));
+    p.set_tag("user", "user" + std::to_string(i % 8));
+    p.add_field("dp_mflop_per_s", rng.uniform(0, 2e5));
+    p.add_field("memory_bandwidth_mbytes_per_s", rng.uniform(0, 1e5));
+    p.add_field("cpi", rng.uniform(0.2, 5.0));
+    p.timestamp = 1'500'000'000'000'000'000LL + rng.uniform_int(0, 1'000'000'000);
+    p.normalize();
+    batch.push_back(std::move(p));
+  }
+  return batch;
+}
+
+void BM_ParseBatch(benchmark::State& state) {
+  const std::string wire = lineproto::serialize_batch(enriched_batch());
+  for (auto _ : state) {
+    std::vector<std::string> errors;
+    auto points = lineproto::parse_lenient(wire, &errors);
+    benchmark::DoNotOptimize(points);
+  }
+  state.SetItemsProcessed(state.iterations() * kEnrichedBatch);
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(wire.size()));
+}
+BENCHMARK(BM_ParseBatch);
+
+void BM_SerializeBatch(benchmark::State& state) {
+  const auto batch = enriched_batch();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lineproto::serialize_batch(batch));
+  }
+  state.SetItemsProcessed(state.iterations() * kEnrichedBatch);
+}
+BENCHMARK(BM_SerializeBatch);
+
 void BM_EscapedContent(benchmark::State& state) {
   lineproto::Point p;
   p.measurement = "my measurement,with specials";

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "lms/cluster/harness.hpp"
@@ -31,9 +32,9 @@ using namespace lms;
 constexpr util::TimeNs kSec = util::kNanosPerSecond;
 constexpr util::TimeNs kMin = util::kNanosPerMinute;
 
-/// ns per start/stop pair on a profiler, best of `reps`.
-double marker_pair_ns(profiling::Profiler& profiler, int pairs, int reps) {
-  double best = 1e18;
+/// ns per start/stop pair on a profiler, one value per repetition.
+std::vector<double> marker_pair_ns(profiling::Profiler& profiler, int pairs, int reps) {
+  std::vector<double> per_rep;
   for (int r = 0; r < reps; ++r) {
     util::TimeNs t = kSec;
     const util::TimeNs start = util::monotonic_now_ns();
@@ -43,11 +44,10 @@ double marker_pair_ns(profiling::Profiler& profiler, int pairs, int reps) {
       (void)profiler.stop("bench", t);
       t += 1000;
     }
-    const double ns = static_cast<double>(util::monotonic_now_ns() - start) / pairs;
-    if (ns < best) best = ns;
+    per_rep.push_back(static_cast<double>(util::monotonic_now_ns() - start) / pairs);
     profiler.reset();
   }
-  return best;
+  return per_rep;
 }
 
 /// Wall ms for a MiniMD run on the harness, profiling on or off.
@@ -69,18 +69,18 @@ double minimd_wall_ms(bool profiling, util::TimeNs sim_duration) {
 
 int main() {
   const int pairs = bench::scaled(200'000, 2'000);
-  const int reps = bench::scaled(5, 1);
-  const int harness_reps = bench::scaled(3, 1);
+  const int reps = bench::scaled(7, 1);
+  const int harness_reps = bench::scaled(5, 1);
   const util::TimeNs sim_duration = bench::smoke() ? 2 * kMin : 20 * kMin;
 
-  std::printf("=== bench_profiling: %d marker pairs (best of %d), MiniMD %lld sim-min "
-              "(best of %d), %u hardware threads ===\n\n",
+  std::printf("=== bench_profiling: %d marker pairs (median of %d), MiniMD %lld sim-min "
+              "(median of %d off/on pairs), %u hardware threads ===\n\n",
               pairs, reps, static_cast<long long>(sim_duration / kMin), harness_reps,
               std::thread::hardware_concurrency());
 
   // ---- tier 1: per-marker cost ----
   profiling::Profiler bare;
-  const double bare_ns = marker_pair_ns(bare, pairs, reps);
+  const bench::Spread bare_ns = bench::spread(marker_pair_ns(bare, pairs, reps));
 
   const hpm::CounterArchitecture& arch = hpm::simx86();
   hpm::GroupRegistry groups(arch);
@@ -92,36 +92,45 @@ int main() {
     return 1;
   }
   with_hpm.add_collector(collector.take());
-  const double hpm_ns = marker_pair_ns(with_hpm, pairs, reps);
+  const bench::Spread hpm_ns = bench::spread(marker_pair_ns(with_hpm, pairs, reps));
 
-  std::printf("%-34s %12.0f ns/pair\n", "marker only", bare_ns);
-  std::printf("%-34s %12.0f ns/pair  (counter snapshot x2 + attribution)\n",
-              "marker + MEM_DP collector", hpm_ns);
+  std::printf("%-34s %12.0f ns/pair  [%.0f, %.0f]\n", "marker only", bare_ns.median,
+              bare_ns.min, bare_ns.max);
+  std::printf("%-34s %12.0f ns/pair  [%.0f, %.0f]  (counter snapshot x2 + attribution)\n",
+              "marker + MEM_DP collector", hpm_ns.median, hpm_ns.min, hpm_ns.max);
 
   // ---- tier 2: MiniMD proxy, profiling off vs on ----
-  double off_ms = 1e18, on_ms = 1e18;
+  // Each repetition is an off/on pair; the overhead is taken per pair, so
+  // drift between pairs cancels.
+  std::vector<double> off_ms, on_ms, overhead_pct;
   for (int r = 0; r < harness_reps; ++r) {
-    const double off = minimd_wall_ms(false, sim_duration);
-    const double on = minimd_wall_ms(true, sim_duration);
-    if (off < off_ms) off_ms = off;
-    if (on < on_ms) on_ms = on;
+    off_ms.push_back(minimd_wall_ms(false, sim_duration));
+    on_ms.push_back(minimd_wall_ms(true, sim_duration));
+    overhead_pct.push_back((on_ms.back() - off_ms.back()) / off_ms.back() * 100.0);
   }
-  const double overhead_pct = (on_ms - off_ms) / off_ms * 100.0;
-  std::printf("\n%-34s %12.1f wall ms\n", "minimd, profiling off", off_ms);
-  std::printf("%-34s %12.1f wall ms\n", "minimd, profiling on", on_ms);
-  std::printf("%-34s %11.1f%%  (bar: <5%%)\n", "overhead", overhead_pct);
+  const bench::Spread off = bench::spread(off_ms);
+  const bench::Spread on = bench::spread(on_ms);
+  const bench::Spread overhead = bench::spread(overhead_pct);
+  std::printf("\n%-34s %12.1f wall ms  [%.1f, %.1f]\n", "minimd, profiling off", off.median,
+              off.min, off.max);
+  std::printf("%-34s %12.1f wall ms  [%.1f, %.1f]\n", "minimd, profiling on", on.median,
+              on.min, on.max);
+  std::printf("%-34s %11.1f%%  [%.1f, %.1f]  (bar: <5%%)\n", "overhead", overhead.median,
+              overhead.min, overhead.max);
 
   json::Object top;
   top["bench"] = "bench_profiling";
   top["hardware_threads"] =
       static_cast<std::int64_t>(std::thread::hardware_concurrency());
   top["marker_pairs"] = pairs;
-  top["marker_ns_per_pair"] = bare_ns;
-  top["marker_hpm_ns_per_pair"] = hpm_ns;
+  top["marker_reps"] = reps;
+  bench::put_spread(top, "marker_ns_per_pair", bare_ns);
+  bench::put_spread(top, "marker_hpm_ns_per_pair", hpm_ns);
   top["minimd_sim_minutes"] = static_cast<std::int64_t>(sim_duration / kMin);
-  top["minimd_wall_ms_profiling_off"] = off_ms;
-  top["minimd_wall_ms_profiling_on"] = on_ms;
-  top["minimd_overhead_pct"] = overhead_pct;
+  top["minimd_pairs"] = harness_reps;
+  bench::put_spread(top, "minimd_wall_ms_profiling_off", off);
+  bench::put_spread(top, "minimd_wall_ms_profiling_on", on);
+  bench::put_spread(top, "minimd_overhead_pct", overhead);
   if (!bench::write_baseline("BENCH_profiling.json",
                              json::Value(std::move(top)).dump_pretty())) {
     return 1;

@@ -29,7 +29,7 @@ constexpr util::TimeNs kSec = util::kNanosPerSecond;
 constexpr util::TimeNs kT0 = 1'500'000'000LL * kSec;
 const int kBatches = bench::scaled(400, 20);  // requests per run
 constexpr int kBatchPoints = 100;   // points per request, like a collector flush
-const int kReps = bench::scaled(3, 1);  // best-of to shrug off scheduler noise
+const int kReps = bench::scaled(9, 1);  // rounds over all configs: median and range
 
 struct Config {
   const char* name;
@@ -105,36 +105,53 @@ int main() {
       {"sampled-100pct", true, 1.0},
   };
   std::printf("=== bench_trace: %d batches x %d points through router -> TSDB, "
-              "best of %d, %u hardware threads ===\n\n",
+              "median of %d rounds, %u hardware threads ===\n\n",
               kBatches, kBatchPoints, kReps, hw);
   std::printf("%-16s %12s %10s %14s %12s\n", "config", "Mpts/s", "wall ms", "spans", "overhead");
 
-  json::Array runs;
-  double baseline = 0;
-  double overhead_1pct = 0;
-  double overhead_100pct = 0;
-  for (const Config& cfg : configs) {
-    RunResult best;
-    for (int r = 0; r < kReps; ++r) {
-      const RunResult res = run_ingest(cfg);
-      if (res.points_per_sec > best.points_per_sec) best = res;
+  // Run the configs round-robin (disabled, 0%, 1%, 100%, disabled, ...) so
+  // drift hits every config alike; each round's overhead is taken against
+  // that round's "disabled" run.
+  constexpr int kConfigs = static_cast<int>(sizeof(configs) / sizeof(configs[0]));
+  struct PerConfig {
+    std::vector<double> points_per_sec, wall_ms, overhead_pct;
+    std::uint64_t spans = 0;
+  };
+  PerConfig per[kConfigs];
+  (void)run_ingest(configs[0]);  // warmup, discarded
+  for (int r = 0; r < kReps; ++r) {
+    double baseline = 0;
+    for (int c = 0; c < kConfigs; ++c) {
+      const RunResult res = run_ingest(configs[c]);
+      if (c == 0) baseline = res.points_per_sec;
+      per[c].points_per_sec.push_back(res.points_per_sec);
+      per[c].wall_ms.push_back(res.wall_ms);
+      per[c].overhead_pct.push_back((baseline - res.points_per_sec) / baseline * 100.0);
+      per[c].spans = res.spans_recorded;
     }
-    if (cfg.name == std::string("disabled")) baseline = best.points_per_sec;
-    const double overhead =
-        baseline > 0 ? (baseline - best.points_per_sec) / baseline * 100.0 : 0.0;
+  }
+
+  json::Array runs;
+  bench::Spread overhead_1pct;
+  bench::Spread overhead_100pct;
+  for (int c = 0; c < kConfigs; ++c) {
+    const Config& cfg = configs[c];
+    const bench::Spread pps = bench::spread(per[c].points_per_sec);
+    const bench::Spread wall = bench::spread(per[c].wall_ms);
+    const bench::Spread overhead = bench::spread(per[c].overhead_pct);
     if (cfg.name == std::string("sampled-1pct")) overhead_1pct = overhead;
     if (cfg.name == std::string("sampled-100pct")) overhead_100pct = overhead;
-    std::printf("%-16s %12.2f %10.1f %14llu %10.1f%%\n", cfg.name,
-                best.points_per_sec / 1e6, best.wall_ms,
-                static_cast<unsigned long long>(best.spans_recorded), overhead);
+    std::printf("%-16s %12.2f %10.1f %14llu %10.1f%%  [%.1f, %.1f]\n", cfg.name,
+                pps.median / 1e6, wall.median, static_cast<unsigned long long>(per[c].spans),
+                overhead.median, overhead.min, overhead.max);
     json::Object o;
     o["config"] = cfg.name;
     o["tracing_enabled"] = cfg.enabled;
     o["sample_rate"] = cfg.sample_rate;
-    o["points_per_sec"] = best.points_per_sec;
-    o["wall_ms"] = best.wall_ms;
-    o["spans_recorded"] = static_cast<std::int64_t>(best.spans_recorded);
-    o["overhead_pct"] = overhead;
+    bench::put_spread(o, "points_per_sec", pps);
+    bench::put_spread(o, "wall_ms", wall);
+    o["spans_recorded"] = static_cast<std::int64_t>(per[c].spans);
+    bench::put_spread(o, "overhead_pct", overhead);
     runs.emplace_back(std::move(o));
   }
   obs::set_tracing_enabled(true);
@@ -145,10 +162,12 @@ int main() {
   top["hardware_threads"] = static_cast<std::int64_t>(hw);
   top["batches"] = kBatches;
   top["batch_points"] = kBatchPoints;
+  top["reps"] = kReps;
   top["runs"] = std::move(runs);
-  top["overhead_pct_1pct_sampling"] = overhead_1pct;
-  top["overhead_pct_100pct_sampling"] = overhead_100pct;
-  std::printf("\noverhead at 1%% sampling: %.1f%% (bar: <5%%)\n", overhead_1pct);
+  bench::put_spread(top, "overhead_pct_1pct_sampling", overhead_1pct);
+  bench::put_spread(top, "overhead_pct_100pct_sampling", overhead_100pct);
+  std::printf("\noverhead at 1%% sampling: %.1f%% [%.1f, %.1f] (bar: <5%%)\n",
+              overhead_1pct.median, overhead_1pct.min, overhead_1pct.max);
   return bench::write_baseline("BENCH_trace.json", json::Value(std::move(top)).dump_pretty())
              ? 0
              : 1;

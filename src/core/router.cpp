@@ -1,7 +1,6 @@
 #include "lms/core/router.hpp"
 
 #include <chrono>
-#include <iterator>
 
 #include "lms/json/json.hpp"
 #include "lms/lineproto/codec.hpp"
@@ -20,6 +19,13 @@ namespace {
 constexpr std::string_view kBackpressurePrefix = "backpressure";
 constexpr std::string_view kUnknownDbPrefix = "unknown database:";
 constexpr std::string_view kForwardFailedPrefix = "forward failed";
+
+/// A job annotation event as the one-line body of a forward.
+std::string event_line(const lineproto::Point& event) {
+  std::string line;
+  lineproto::append_line(line, event);
+  return line;
+}
 }  // namespace
 
 MetricsRouter::MetricsRouter(net::HttpClient& db_client, const util::Clock& clock,
@@ -115,18 +121,17 @@ net::HttpHandler MetricsRouter::handler() {
   };
 }
 
-MetricsRouter::ForwardOutcome MetricsRouter::forward(
-    const std::string& db, const std::vector<lineproto::Point>& points) {
+MetricsRouter::ForwardOutcome MetricsRouter::forward(const std::string& db,
+                                                     const std::string& lines) {
   ForwardOutcome out;
-  if (points.empty()) {
+  if (lines.empty()) {
     out.http_status = 204;
     return out;
   }
   obs::Span span("router.forward", "router");
   const util::TimeNs t0 = util::monotonic_now_ns();
-  const std::string body = lineproto::serialize_batch(points);
-  auto resp = db_client_.post(options_.db_url + "/write?db=" + util::url_encode(db),
-                              body, "text/plain");
+  auto resp = db_client_.post(options_.db_url + "/write?db=" + util::url_encode(db), lines,
+                              "text/plain");
   forward_ns_.record_since(t0);
   if (!resp.ok()) {
     span.set_ok(false);
@@ -163,16 +168,17 @@ util::Result<std::size_t> MetricsRouter::write_points(tsdb::WriteBatch batch) {
   if (batch.db.empty()) batch.db = options_.database;
 
   // Normalize timestamps (apply the precision multiplier, stamp missing
-  // ones) and enrich from the tag store — one pass over the batch.
+  // ones), enrich from the tag store, then serialize every point once.
   const util::TimeNs now = batch.default_time != 0 ? batch.default_time : clock_.now();
   for (auto& p : batch.points) {
     p.timestamp = p.timestamp != 0 ? p.timestamp * batch.timestamp_scale : now;
-    tags_.enrich(p);
   }
   batch.timestamp_scale = 1;
+  tags_.enrich(batch.points);
+  std::vector<IngestBatch> routed = route(batch);
 
   if (options_.async_ingest) {
-    auto accepted = enqueue_ingest(batch);
+    auto accepted = enqueue_ingest(routed);
     if (!accepted.ok()) {
       span.set_ok(false);
       if (util::starts_with(accepted.message(), kBackpressurePrefix)) {
@@ -185,13 +191,13 @@ util::Result<std::size_t> MetricsRouter::write_points(tsdb::WriteBatch batch) {
     // Publish on accept: stream analyzers see the enriched batch as soon as
     // the router takes responsibility for it, not when the flusher lands it.
     if (broker_ != nullptr && options_.publish) {
-      broker_->publish(kTopicMetrics, lineproto::serialize_batch(batch.points));
+      broker_->publish(kTopicMetrics, routed.front().lines);
     }
     write_ns_.record_since(t0);
     return accepted;
   }
 
-  auto result = forward_sync(batch);
+  auto result = forward_sync(std::move(routed));
   if (!result.ok()) {
     span.set_ok(false);
     return result;
@@ -200,10 +206,37 @@ util::Result<std::size_t> MetricsRouter::write_points(tsdb::WriteBatch batch) {
   return result;
 }
 
-util::Result<std::size_t> MetricsRouter::forward_sync(tsdb::WriteBatch& batch) {
+std::vector<MetricsRouter::IngestBatch> MetricsRouter::route(
+    const tsdb::WriteBatch& batch) const {
+  std::vector<IngestBatch> out(1);
+  out[0].db = batch.db;
+  out[0].points = batch.points.size();
+  // User name (a view into the batch's points) -> index into `out`.
+  std::map<std::string_view, std::size_t> user_slot;
+  for (const auto& p : batch.points) {
+    const std::size_t begin = out[0].lines.size();
+    lineproto::append_line(out[0].lines, p);
+    if (!options_.duplicate_per_user) continue;
+    const std::string_view user = p.tag("user");
+    if (user.empty()) continue;
+    const auto [slot, added] = user_slot.try_emplace(user, out.size());
+    if (added) {
+      IngestBatch& dup = out.emplace_back();
+      dup.db = options_.user_db_prefix + std::string(user);
+      dup.duplicate = true;
+    }
+    IngestBatch& dup = out[slot->second];
+    dup.lines.append(out[0].lines, begin, std::string::npos);
+    ++dup.points;
+  }
+  return out;
+}
+
+util::Result<std::size_t> MetricsRouter::forward_sync(std::vector<IngestBatch> routed) {
   // Drain any spooled backlog first so ordering is roughly preserved.
   if (options_.spool_capacity > 0) flush_spool();
-  if (auto out = forward(batch.db, batch.points); !out.status.ok()) {
+  const IngestBatch& primary = routed.front();
+  if (auto out = forward(primary.db, primary.lines); !out.status.ok()) {
     forward_failures_.inc();
     if (out.http_status == 404) {
       // The back-end does not know the database: a permanent producer-side
@@ -213,7 +246,7 @@ util::Result<std::size_t> MetricsRouter::forward_sync(tsdb::WriteBatch& batch) {
     // Only transport errors and 5xx are worth retrying; other 4xx means the
     // back-end rejected the batch for good.
     const bool retryable = out.http_status == 0 || out.http_status >= 500;
-    if (!retryable || options_.spool_capacity == 0 || batch.db != options_.database) {
+    if (!retryable || options_.spool_capacity == 0 || primary.db != options_.database) {
       // No spool (or a non-default target DB): the producer keeps the batch.
       // The "forward failed" prefix lets the HTTP layer answer 503 (retry)
       // instead of 400 (drop).
@@ -221,52 +254,42 @@ util::Result<std::size_t> MetricsRouter::forward_sync(tsdb::WriteBatch& batch) {
                                               out.status.message());
     }
     // Store-and-forward: take responsibility for the points.
-    spool_points(batch.points);
-    return batch.points.size();
+    spool_lines(primary.lines, primary.points);
+    return primary.points;
   }
-  points_out_.inc(batch.points.size());
+  points_out_.inc(primary.points);
 
   // Optional duplication into per-user databases.
-  for (const auto& [user, user_points] : per_user_copies(batch.points)) {
-    if (auto out = forward(options_.user_db_prefix + user, user_points); !out.status.ok()) {
-      LMS_WARN("router") << "per-user duplication for '" << user
+  for (std::size_t i = 1; i < routed.size(); ++i) {
+    const IngestBatch& dup = routed[i];
+    if (auto out = forward(dup.db, dup.lines); !out.status.ok()) {
+      LMS_WARN("router") << "per-user duplication into '" << dup.db
                          << "' failed: " << out.status.message();
       forward_failures_.inc();
     } else {
-      points_duplicated_.inc(user_points.size());
+      points_duplicated_.inc(dup.points);
     }
   }
   // Publish the enriched batch for attached stream analyzers (a batch that
   // went to the spool instead of the back-end is not published).
   if (broker_ != nullptr && options_.publish) {
-    broker_->publish(kTopicMetrics, lineproto::serialize_batch(batch.points));
+    broker_->publish(kTopicMetrics, primary.lines);
   }
-  return batch.points.size();
+  return primary.points;
 }
 
-std::map<std::string, std::vector<lineproto::Point>> MetricsRouter::per_user_copies(
-    const std::vector<lineproto::Point>& points) const {
-  std::map<std::string, std::vector<lineproto::Point>> per_user;
-  if (!options_.duplicate_per_user) return per_user;
-  for (const auto& p : points) {
-    const std::string_view user = p.tag("user");
-    if (!user.empty()) per_user[std::string(user)].push_back(p);
-  }
-  return per_user;
-}
-
-util::Result<std::size_t> MetricsRouter::enqueue_ingest(const tsdb::WriteBatch& batch) {
-  // Route once at accept time: the primary destination plus the per-user
-  // duplicates; the flusher only moves bytes after this.
-  auto per_user = per_user_copies(batch.points);
-  std::size_t incoming = batch.points.size();
-  for (const auto& [user, pts] : per_user) incoming += pts.size();
+util::Result<std::size_t> MetricsRouter::enqueue_ingest(const std::vector<IngestBatch>& routed) {
+  // Routed and serialized at accept time: the primary destination plus the
+  // per-user duplicates; the flusher only moves bytes after this.
+  const std::size_t accepted = routed.front().points;
+  std::size_t incoming = 0;
+  for (const auto& b : routed) incoming += b.points;
 
   bool wake = false;
   {
     const core::sync::LockGuard lock(ingest_mu_);
     if (ingest_points_ + incoming > options_.ingest_queue_capacity) {
-      ingest_rejected_.inc(batch.points.size());
+      ingest_rejected_.inc(accepted);
       ingest_queue_stats_.rejected_pushes.fetch_add(1, std::memory_order_relaxed);
       return util::Result<std::size_t>::error(
           std::string(kBackpressurePrefix) + ": ingest queue full (" +
@@ -277,47 +300,59 @@ util::Result<std::size_t> MetricsRouter::enqueue_ingest(const tsdb::WriteBatch& 
     // batch that opens a queue carries its trace to the flusher (later
     // coalesced writes ride along — first writer wins).
     const obs::TraceContext trace = obs::current_trace();
-    IngestBatch& primary = ingest_q_[batch.db];
-    primary.db = batch.db;
-    if (primary.points.empty() && trace.valid()) primary.trace = trace;
-    primary.points.insert(primary.points.end(), batch.points.begin(), batch.points.end());
-    for (auto& [user, pts] : per_user) {
-      IngestBatch& q = ingest_q_[options_.user_db_prefix + user];
-      q.db = options_.user_db_prefix + user;
-      q.duplicate = true;
-      if (q.points.empty() && trace.valid()) q.trace = trace;
-      q.points.insert(q.points.end(), std::make_move_iterator(pts.begin()),
-                      std::make_move_iterator(pts.end()));
+    for (const auto& b : routed) {
+      IngestBatch& q = ingest_q_[b.db];
+      q.db = b.db;
+      q.duplicate = b.duplicate;
+      if (q.points == 0 && trace.valid()) q.trace = trace;
+      q.lines.append(b.lines);
+      q.points += b.points;
     }
     ingest_points_ += incoming;
     ingest_queue_stats_.on_push(ingest_points_);
     wake = ingest_points_ >= options_.ingest_max_batch;
   }
   if (wake) flusher_task_.trigger();
-  return batch.points.size();
+  return accepted;
 }
+
+namespace {
+/// Bytes taken by the first `n` lines of `lines` (all of it when it holds
+/// fewer).
+std::size_t line_prefix_bytes(const std::string& lines, std::size_t n) {
+  std::size_t end = 0;
+  for (; n > 0; --n) {
+    const std::size_t nl = lines.find('\n', end);
+    if (nl == std::string::npos) return lines.size();
+    end = nl + 1;
+  }
+  return end;
+}
+}  // namespace
 
 std::vector<MetricsRouter::IngestBatch> MetricsRouter::take_ingest_locked(
     std::size_t max_points) {
   std::vector<IngestBatch> out;
   for (auto& [db, q] : ingest_q_) {
-    if (q.points.empty()) continue;
+    if (q.points == 0) continue;
     IngestBatch taken;
     taken.db = q.db;
     taken.duplicate = q.duplicate;
     taken.trace = q.trace;
-    if (q.points.size() <= max_points) {
-      taken.points = std::move(q.points);
-      q.points.clear();
+    if (q.points <= max_points) {
+      taken.lines = std::move(q.lines);
+      taken.points = q.points;
+      q.lines.clear();
+      q.points = 0;
       q.trace = obs::TraceContext{};  // next writer re-opens the batch
     } else {
-      taken.points.assign(std::make_move_iterator(q.points.begin()),
-                          std::make_move_iterator(q.points.begin() +
-                                                  static_cast<std::ptrdiff_t>(max_points)));
-      q.points.erase(q.points.begin(),
-                     q.points.begin() + static_cast<std::ptrdiff_t>(max_points));
+      const std::size_t cut = line_prefix_bytes(q.lines, max_points);
+      taken.lines.assign(q.lines, 0, cut);
+      taken.points = max_points;
+      q.lines.erase(0, cut);
+      q.points -= max_points;
     }
-    ingest_points_ -= taken.points.size();
+    ingest_points_ -= taken.points;
     ingest_queue_stats_.on_pop(ingest_points_);
     out.push_back(std::move(taken));
   }
@@ -329,27 +364,27 @@ void MetricsRouter::forward_ingest(IngestBatch batch) {
   // forward span + injected header below it) join the originating trace.
   const obs::ScopedTraceContext adopt(batch.trace);
   obs::Span span("router.flush", "router");
-  span.set_note("db=" + batch.db + " points=" + std::to_string(batch.points.size()));
-  auto out = forward(batch.db, batch.points);
+  span.set_note("db=" + batch.db + " points=" + std::to_string(batch.points));
+  auto out = forward(batch.db, batch.lines);
   if (!out.status.ok()) span.set_ok(false);
   if (out.status.ok()) {
     if (batch.duplicate) {
-      points_duplicated_.inc(batch.points.size());
+      points_duplicated_.inc(batch.points);
     } else {
-      points_out_.inc(batch.points.size());
+      points_out_.inc(batch.points);
     }
-    ingest_flushed_.inc(batch.points.size());
+    ingest_flushed_.inc(batch.points);
     return;
   }
   forward_failures_.inc();
   const bool retryable = out.http_status == 0 || out.http_status >= 500;
   if (retryable && !batch.duplicate && options_.spool_capacity > 0 &&
       batch.db == options_.database) {
-    spool_points(batch.points);
+    spool_lines(batch.lines, batch.points);
     return;
   }
-  LMS_WARN("router") << "async forward to '" << batch.db << "' dropped "
-                     << batch.points.size() << " points: " << out.status.message();
+  LMS_WARN("router") << "async forward to '" << batch.db << "' dropped " << batch.points
+                     << " points: " << out.status.message();
 }
 
 std::size_t MetricsRouter::flush_ingest() {
@@ -366,7 +401,7 @@ std::size_t MetricsRouter::flush_ingest() {
     if (batches.empty()) return total;
     const util::TimeNs t0 = util::monotonic_now_ns();
     for (auto& b : batches) {
-      total += b.points.size();
+      total += b.points;
       forward_ingest(std::move(b));
     }
     ingest_flush_ns_.record_since(t0);
@@ -378,21 +413,21 @@ std::size_t MetricsRouter::ingest_queue_points() const {
   return ingest_points_;
 }
 
-void MetricsRouter::spool_points(const std::vector<lineproto::Point>& points) {
+void MetricsRouter::spool_lines(const std::string& lines, std::size_t points) {
   {
     const core::sync::LockGuard lock(spool_mu_);
-    spool_.insert(spool_.end(), points.begin(), points.end());
+    spool_.append(lines);
+    spool_points_ += points;
     trim_spool_locked();
   }
-  points_spooled_.inc(points.size());
+  points_spooled_.inc(points);
 }
 
 void MetricsRouter::trim_spool_locked() {
-  std::size_t dropped = 0;
-  while (spool_.size() > options_.spool_capacity) {
-    spool_.pop_front();
-    ++dropped;
-  }
+  if (spool_points_ <= options_.spool_capacity) return;
+  const std::size_t dropped = spool_points_ - options_.spool_capacity;
+  spool_.erase(0, line_prefix_bytes(spool_, dropped));
+  spool_points_ = options_.spool_capacity;
   spool_dropped_.inc(dropped);
 }
 
@@ -423,7 +458,7 @@ util::Status MetricsRouter::job_start(const JobSignal& signal) {
   event.add_field("nodes", util::join(signal.nodes, ","));
   event.timestamp = now;
   event.normalize();
-  if (auto out = forward(options_.database, {event}); !out.status.ok()) {
+  if (auto out = forward(options_.database, event_line(event)); !out.status.ok()) {
     LMS_WARN("router") << "job_start annotation failed: " << out.status.message();
   }
   if (broker_ != nullptr && options_.publish) {
@@ -462,7 +497,7 @@ util::Status MetricsRouter::job_end(const std::string& job_id) {
   event.add_field("nodes", util::join(job.nodes, ","));
   event.timestamp = now;
   event.normalize();
-  if (auto out = forward(options_.database, {event}); !out.status.ok()) {
+  if (auto out = forward(options_.database, event_line(event)); !out.status.ok()) {
     LMS_WARN("router") << "job_end annotation failed: " << out.status.message();
   }
   if (broker_ != nullptr && options_.publish) {
@@ -511,29 +546,32 @@ std::size_t MetricsRouter::flush_spool() {
   // Take the spool out, so a concurrent flush finds it empty instead of
   // sending the same points again, and evictions while the forward runs
   // only touch points spooled after it started.
-  std::vector<lineproto::Point> batch;
+  std::string lines;
+  std::size_t points = 0;
   {
     const core::sync::LockGuard lock(spool_mu_);
-    if (spool_.empty()) return 0;
-    batch.assign(std::make_move_iterator(spool_.begin()), std::make_move_iterator(spool_.end()));
+    if (spool_points_ == 0) return 0;
+    lines = std::move(spool_);
+    points = spool_points_;
     spool_.clear();
+    spool_points_ = 0;
   }
-  if (auto out = forward(options_.database, batch); !out.status.ok()) {
+  if (auto out = forward(options_.database, lines); !out.status.ok()) {
     // Still down: put the points back ahead of anything spooled meanwhile,
     // then drop the oldest beyond capacity.
     const core::sync::LockGuard lock(spool_mu_);
-    spool_.insert(spool_.begin(), std::make_move_iterator(batch.begin()),
-                  std::make_move_iterator(batch.end()));
+    spool_.insert(0, lines);
+    spool_points_ += points;
     trim_spool_locked();
     return 0;
   }
-  points_out_.inc(batch.size());
-  return batch.size();
+  points_out_.inc(points);
+  return points;
 }
 
 std::size_t MetricsRouter::spool_size() const {
   const core::sync::LockGuard lock(spool_mu_);
-  return spool_.size();
+  return spool_points_;
 }
 
 net::ComponentHealth MetricsRouter::health(bool readiness) {

@@ -24,14 +24,22 @@
 //   GET  /health                liveness (spool depth, jobs) as JSON
 //   GET  /ready                 readiness: health + DB back-end reachability
 //
-// Ingest runs as a single pass parse -> route -> append: the body is parsed
-// once into a tsdb::WriteBatch (the same parser the TSDB façade uses, so the
-// 400/404 error responses are byte-identical on both services), enriched,
-// and either forwarded inline (default) or coalesced into per-destination
-// queues drained by a background flusher (Options::async_ingest). The async
-// queues are bounded; when full the write is rejected with an explicit
-// backpressure error that the HTTP layer turns into 429 + Retry-After, and
-// the rejection is surfaced through the router_ingest_* instruments.
+// Ingest runs as one pass parse -> enrich -> serialize -> append. The body
+// is parsed once into a tsdb::WriteBatch (the same parser the TSDB façade
+// uses, so the 400/404 error responses are byte-identical on both
+// services) and enriched from the tag store under one lock per batch. Then
+// every point is serialized exactly once: its line goes to the primary
+// database's buffer, again to its user's database buffer (per-user
+// duplication) and, as the whole accepted batch, to the broker. After that
+// the router moves bytes only. Inline mode (default) POSTs the buffers at
+// once; Options::async_ingest appends them to bounded per-destination byte
+// queues that a background flusher concatenates and POSTs. The queues
+// count points, not bytes; when full the write is rejected with an
+// explicit backpressure error that the HTTP layer turns into 429 +
+// Retry-After, and the rejection is surfaced through the router_ingest_*
+// instruments. The spool of the store-and-forward mode holds the same
+// bytes. Every count stays in points; once the queues are drained,
+// accepted = points_out + spool_size() + spool_dropped.
 //
 // All counters live in an lms::obs metrics registry ("router_*" instruments)
 // so the self-scrape loop can feed them back into the stack's own TSDB; the
@@ -40,7 +48,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -217,32 +224,37 @@ class MetricsRouter : public Runnable {
     int http_status = 0;
     std::string body;
   };
-  /// A routed batch waiting in (or taken from) the async ingest queues.
+  /// Serialized points for one destination: routed at accept time, waiting
+  /// in (or taken from) the async ingest queues, or forwarded inline.
   struct IngestBatch {
     std::string db;
     bool duplicate = false;  ///< per-user copy (counts as duplicated, never spooled)
-    std::vector<lineproto::Point> points;
     /// Trace context of the producer whose write opened this batch (first
     /// writer wins when batches coalesce). The flusher adopts it, so the
     /// background forward span joins the trace that enqueued the points
     /// instead of starting an anonymous root.
     obs::TraceContext trace;
+    std::string lines;       ///< one '\n'-terminated line-protocol line per point
+    std::size_t points = 0;  ///< lines in `lines`
   };
 
-  ForwardOutcome forward(const std::string& db, const std::vector<lineproto::Point>& points);
-  util::Result<std::size_t> forward_sync(tsdb::WriteBatch& batch);
-  util::Result<std::size_t> enqueue_ingest(const tsdb::WriteBatch& batch);
+  ForwardOutcome forward(const std::string& db, const std::string& lines);
+  /// Serialize each point of `batch` once. Element 0 is the primary
+  /// destination (batch.db) holding every line, and so also the broker
+  /// payload; one element per user follows when duplicate_per_user is set,
+  /// holding copies of that user's lines.
+  std::vector<IngestBatch> route(const tsdb::WriteBatch& batch) const;
+  util::Result<std::size_t> forward_sync(std::vector<IngestBatch> routed);
+  util::Result<std::size_t> enqueue_ingest(const std::vector<IngestBatch>& routed);
+  /// Up to `max_points` lines from each destination queue, cut at a line
+  /// boundary.
   std::vector<IngestBatch> take_ingest_locked(std::size_t max_points)
       LMS_REQUIRES(ingest_mu_);
   void forward_ingest(IngestBatch batch);
-  void spool_points(const std::vector<lineproto::Point>& points);
-  /// Drop the oldest spooled points beyond spool_capacity (counted in
+  void spool_lines(const std::string& lines, std::size_t points);
+  /// Drop the oldest spooled lines beyond spool_capacity (counted in
   /// router_spool_dropped).
   void trim_spool_locked() LMS_REQUIRES(spool_mu_);
-  /// The per-user duplicates of `points`, keyed by their `user` tag (points
-  /// without one are skipped); empty unless duplicate_per_user is set.
-  std::map<std::string, std::vector<lineproto::Point>> per_user_copies(
-      const std::vector<lineproto::Point>& points) const;
   net::HttpResponse handle_write(const net::HttpRequest& req);
   net::HttpResponse handle_job_start(const net::HttpRequest& req);
   net::HttpResponse handle_job_end(const net::HttpRequest& req);
@@ -260,8 +272,9 @@ class MetricsRouter : public Runnable {
   mutable core::sync::Mutex jobs_mu_{core::sync::Rank::kRouterJobs, "core.router.jobs"};
   std::map<std::string, RunningJob> jobs_ LMS_GUARDED_BY(jobs_mu_);
   mutable core::sync::Mutex spool_mu_{core::sync::Rank::kRouterSpool, "core.router.spool"};
-  /// Primary-db points awaiting retry.
-  std::deque<lineproto::Point> spool_ LMS_GUARDED_BY(spool_mu_);
+  /// Primary-db lines awaiting retry, oldest first, and their count.
+  std::string spool_ LMS_GUARDED_BY(spool_mu_);
+  std::size_t spool_points_ LMS_GUARDED_BY(spool_mu_) = 0;
 
   // Async ingest pipeline (Options::async_ingest).
   mutable core::sync::Mutex ingest_mu_{core::sync::Rank::kRouterIngest, "core.router.ingest"};

@@ -10,7 +10,14 @@
 //   - tag keys/values and field keys: escape ','  '='  ' '
 //   - string field values are double-quoted; escape '"' and '\'
 //   - integers carry an 'i' suffix; booleans are t/T/true/True/f/...
-// Lines are separated by '\n'; empty lines and '#' comments are skipped.
+// Lines are separated by '\n' (a trailing '\r' is trimmed with the other
+// surrounding whitespace); empty lines and '#' comments are skipped.
+//
+// The parser is zero-copy up to the Point: it walks lines and tokens as
+// string_views, finds token ends with a character-class table, and copies a
+// token through an unescaping loop only when it holds a backslash. The
+// serializer appends escape-free runs whole and writes numbers with
+// to_chars straight into the output buffer.
 
 #include <string>
 #include <string_view>
@@ -23,6 +30,10 @@ namespace lms::lineproto {
 
 /// Serialize one point to a single line (no trailing newline).
 std::string serialize(const Point& point);
+
+/// Append one point as a line plus its trailing newline to `out` — the
+/// building block of serialize_batch() and of the router's byte queues.
+void append_line(std::string& out, const Point& point);
 
 /// Serialize a batch, newline-separated with trailing newline — the batched
 /// transmission format the paper highlights.

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "lms/lineproto/codec.hpp"
 #include "lms/util/rng.hpp"
 
@@ -203,6 +205,79 @@ TEST_P(LineProtoRoundTrip, SerializeParseIdentity) {
     const auto reparsed = parse_line(line);
     ASSERT_TRUE(reparsed.ok()) << line << " -> " << reparsed.message();
     EXPECT_EQ(*reparsed, p) << line;
+  }
+}
+
+/// A token for the stressed round trip: every character the protocol
+/// escapes (backslash, comma, equals sign, space, double quote) is likely,
+/// and about a third of the tokens are 16-17 characters long, just over the
+/// 15-character small-string limit, so both string representations parse.
+std::string stressed_token(util::Rng& rng) {
+  static const char kAlphabet[] = "\\,= \"abcXYZ09_.";
+  const std::size_t alpha_len = sizeof(kAlphabet) - 1;
+  const int len = rng.bernoulli(0.35) ? static_cast<int>(rng.uniform_int(16, 17))
+                                      : static_cast<int>(rng.uniform_int(1, 6));
+  std::string s;
+  for (int i = 0; i < len; ++i) {
+    s.push_back(kAlphabet[rng.uniform_int(0, static_cast<std::int64_t>(alpha_len) - 1)]);
+  }
+  return s;
+}
+
+Point stressed_point(util::Rng& rng) {
+  Point p;
+  p.measurement = stressed_token(rng);
+  const int ntags = static_cast<int>(rng.uniform_int(0, 4));
+  for (int i = 0; i < ntags; ++i) {
+    p.set_tag("t" + std::to_string(i) + stressed_token(rng), stressed_token(rng));
+  }
+  const int nfields = static_cast<int>(rng.uniform_int(1, 4));
+  for (int i = 0; i < nfields; ++i) {
+    const std::string key = "f" + std::to_string(i) + stressed_token(rng);
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        p.add_field(key, rng.normal(0, 1e12));
+        break;
+      case 1:
+        p.add_field(key, rng.bernoulli(0.1) ? std::numeric_limits<std::int64_t>::min()
+                                            : rng.uniform_int(-(1LL << 61), 1LL << 61));
+        break;
+      case 2:
+        p.add_field(key, rng.bernoulli(0.5));
+        break;
+      default:  // string fields with escaped quotes and backslashes
+        p.add_field(key, "\"" + stressed_token(rng) + "\\\"");
+        break;
+    }
+  }
+  p.timestamp = rng.bernoulli(0.1) ? 0 : rng.uniform_int(-1'000'000, 2'000'000'000'000'000'000LL);
+  p.normalize();
+  return p;
+}
+
+TEST_P(LineProtoRoundTrip, StressedBatchWithCrlfCommentsAndBlanks) {
+  const auto [seed, crlf] = GetParam();
+  util::Rng rng(static_cast<std::uint64_t>(seed) * 7919);
+  const std::string eol = crlf ? "\r\n" : "\n";
+  for (int round = 0; round < 20; ++round) {
+    std::vector<Point> points;
+    std::string text;
+    for (int i = 0; i < 50; ++i) {
+      if (rng.bernoulli(0.1)) text += "# comment, with = specials \\ \"" + eol;
+      if (rng.bernoulli(0.1)) text += (rng.bernoulli(0.5) ? "  " : "") + eol;
+      points.push_back(stressed_point(rng));
+      text += serialize(points.back()) + eol;
+    }
+    const auto parsed = parse(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.message();
+    ASSERT_EQ(*parsed, points);
+    std::vector<std::string> errors;
+    EXPECT_EQ(parse_lenient(text, &errors), points);
+    EXPECT_TRUE(errors.empty());
+    // One point per line back out: the batch serializer agrees too.
+    std::string batch;
+    for (const auto& p : points) batch += serialize(p) + "\n";
+    EXPECT_EQ(serialize_batch(points), batch);
   }
 }
 

@@ -597,6 +597,68 @@ TEST_P(ParserRobustness, MutatedQueriesNeverCrash) {
   }
 }
 
+TEST_P(ParserRobustness, MalformedLinesKeepLineNumbersAndMessages) {
+  // Malformed lines and the message each one must produce.
+  static const std::pair<const char*, const char*> kMalformed[] = {
+      {"measurement_only", "missing field set"},
+      {"m,badtag value=1", "tag 'badtag' missing '='"},
+      {"m,k= value=1", "empty tag key or value"},
+      {"m,=v f=1", "empty tag key or value"},
+      {"m field=", "missing field value"},
+      {"m f=\"unterminated", "unterminated string field"},
+      {"m f=1 notanumber", "bad timestamp 'notanumber'"},
+      {"m f=12xy34", "bad field value '12xy34'"},
+      {"m f=tru", "bad field value 'tru'"},
+      {"m f=1,g=\\,x 5", "bad field value ',x'"},
+      {"m f=12ai", "bad integer field '12ai'"},
+      {"m f=1 123 trailing", "trailing content after timestamp"},
+      {",t=v f=1", "empty measurement"},
+      {"m,t=v  =1", "empty field key"},
+      {"m f=1,", "empty field key"},
+      {"m f", "field 'f' missing '='"},
+      {"my\\ m,k\\=1 f=1", "tag 'k=1' missing '='"},
+  };
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729);
+  for (int round = 0; round < 50; ++round) {
+    const bool crlf = rng.bernoulli(0.5);
+    std::string text;
+    std::vector<lineproto::Point> good;
+    std::vector<std::string> expected;
+    int line_no = 0;
+    for (int i = 0; i < 30; ++i) {
+      ++line_no;
+      const double pick = rng.uniform(0, 1);
+      if (pick < 0.1) {
+        text += "# comment";
+      } else if (pick < 0.2) {
+        // blank line
+      } else if (pick < 0.5) {
+        const auto& [line, why] =
+            kMalformed[rng.uniform_int(0, std::ssize(kMalformed) - 1)];
+        text += line;
+        expected.push_back("line " + std::to_string(line_no) + ": " + why);
+      } else {
+        good.push_back(lineproto::make_point(
+            "cpu", "v", rng.uniform(0, 100), rng.uniform_int(1, 1'000'000'000),
+            {{"hostname", "h" + std::to_string(rng.uniform_int(1, 9))}}));
+        text += lineproto::serialize(good.back());
+      }
+      text += crlf ? "\r\n" : "\n";
+    }
+    std::vector<std::string> errors;
+    EXPECT_EQ(lineproto::parse_lenient(text, &errors), good);
+    EXPECT_EQ(errors, expected);
+    const auto strict = lineproto::parse(text);
+    if (expected.empty()) {
+      ASSERT_TRUE(strict.ok()) << strict.message();
+      EXPECT_EQ(*strict, good);
+    } else {
+      EXPECT_FALSE(strict.ok());
+      EXPECT_EQ(strict.message(), expected.front());
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserRobustness, ::testing::Range(1, 5));
 
 // ------------------------------------------------------------- tag store

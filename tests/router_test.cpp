@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -57,6 +60,34 @@ TEST(TagStoreTest, EnrichWithoutHostnameIsNoop) {
   Point p = lineproto::make_point("cpu", "v", 1.0, 10);
   EXPECT_EQ(store.enrich(p), 0u);
   EXPECT_TRUE(p.tags.empty());
+}
+
+TEST(TagStoreTest, BatchEnrichMatchesPerPointEnrich) {
+  TagStore store;
+  // Unsorted, with a repeated key: the first value given wins.
+  store.set_tags("h1", {{"user", "alice"}, {"jobid", "7"}, {"queue", "batch"}, {"jobid", "8"}});
+  store.set_tags("h2", {{"jobid", "9"}});
+  std::vector<Point> batch;
+  for (int i = 0; i < 12; ++i) {
+    std::vector<lineproto::Tag> tags = {{"hostname", "h" + std::to_string(i % 4)}};
+    if (i % 3 == 0) tags.emplace_back("user", "producer");   // kept over the store's
+    if (i % 5 == 0) tags.emplace_back("zone", "z1");         // sorts after the store's
+    batch.push_back(lineproto::make_point("cpu", "v", 1.0 * i, 10 + i, tags));
+  }
+  std::vector<Point> one_by_one = batch;
+  std::size_t added = 0;
+  for (auto& p : one_by_one) added += store.enrich(p);
+  EXPECT_EQ(store.enrich(batch), added);
+  EXPECT_EQ(batch, one_by_one);
+  EXPECT_EQ(batch[1].tag("jobid"), "7");
+  EXPECT_EQ(batch[1].tag("user"), "alice");
+  EXPECT_EQ(batch[4].tag("user"), "");  // h0 has no job
+  EXPECT_EQ(batch[9].tag("user"), "producer");
+  EXPECT_EQ(batch[9].tag("queue"), "batch");
+  for (const auto& p : batch) {
+    EXPECT_TRUE(std::is_sorted(p.tags.begin(), p.tags.end(),
+                               [](const auto& a, const auto& b) { return a.first < b.first; }));
+  }
 }
 
 // ---------------------------------------------------------------- fixture
@@ -348,6 +379,169 @@ TEST_F(RouterTest, AsyncIngestBackgroundFlusherDelivers) {
   }
   EXPECT_EQ(storage_.totals().samples, 1u);
   EXPECT_EQ(router_->ingest_queue_points(), 0u);
+}
+
+// ---------------------------------------------------------------- bytes
+
+/// A back-end that records every /write body per database and accepts it.
+class RecordingDb : public net::HttpClient {
+ public:
+  util::Result<net::HttpResponse> send(const std::string& url, net::HttpRequest req) override {
+    const std::string db = std::string(url.substr(url.find("db=") + 3));
+    const std::lock_guard<std::mutex> lock(mu_);
+    bodies_[db].push_back(std::move(req.body));
+    return net::HttpResponse::no_content();
+  }
+  /// The POSTed bodies for one database, in order.
+  std::vector<std::string> bodies(const std::string& db) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return bodies_[db];
+  }
+  void clear() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    bodies_.clear();
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<std::string, std::vector<std::string>> bodies_;
+};
+
+std::string concat(const std::vector<std::string>& parts) {
+  std::string out;
+  for (const auto& p : parts) out += p;
+  return out;
+}
+
+/// Every '\n'-terminated line of `text`.
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> out;
+  for (std::size_t start = 0; start < text.size();) {
+    const std::size_t nl = text.find('\n', start);
+    EXPECT_NE(nl, std::string::npos) << "unterminated line in " << text;
+    if (nl == std::string::npos) break;
+    out.push_back(text.substr(start, nl + 1 - start));
+    start = nl + 1;
+  }
+  return out;
+}
+
+/// The lines of `text` whose point carries user=<user>.
+std::string lines_of_user(const std::string& text, std::string_view user) {
+  std::string out;
+  for (const auto& line : lines_of(text)) {
+    const auto p = lineproto::parse_line(util::trim(line));
+    EXPECT_TRUE(p.ok()) << line;
+    if (p.ok() && p->tag("user") == user) out += line;
+  }
+  return out;
+}
+
+TEST(RouterBytes, UserDbsGetThePrimaryLinesByteForByte) {
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async ingest" : "inline forward");
+    util::SimClock clock(100 * kSec);
+    RecordingDb db;
+    net::PubSubBroker broker;
+    TaskScheduler::Options sched_opts;
+    sched_opts.manual = true;
+    TaskScheduler sched(sched_opts);
+    MetricsRouter::Options opts;
+    opts.db_url = "inproc://tsdb";
+    opts.database = "lms";
+    opts.duplicate_per_user = true;
+    opts.async_ingest = async;
+    opts.scheduler = &sched;
+    MetricsRouter router(db, clock, opts, &broker);
+    auto sub = broker.subscribe("metrics");
+
+    JobSignal alice{"7", "alice", {"h1", "h2"}, {{"queue", "batch"}}};
+    JobSignal bob{"8", "bob", {"h3"}, {}};
+    ASSERT_TRUE(router.job_start(alice).ok());
+    ASSERT_TRUE(router.job_start(bob).ok());
+    db.clear();  // drop the job annotation events
+
+    std::size_t accepted = 0;
+    for (int i = 0; i < 20; ++i) {
+      const std::string t = " " + std::to_string(1000 + i);
+      std::string body = "cpu,hostname=h" + std::to_string(i % 4 + 1) + " v=" +
+                         std::to_string(i) + t + "\n";
+      body += "my\\ meas,hostname=h" + std::to_string(i % 3 + 1) +
+              ",k\\=ey=v\\,alue s=\"q\\\" \\\\ \",n=" + std::to_string(i) + "i" + t + "\n";
+      body += "mem,hostname=h4 used=0.5" + t + "\n";  // no job: no user copy
+      auto n = router.write_lines(body);
+      ASSERT_TRUE(n.ok()) << n.message();
+      accepted += *n;
+    }
+    if (async) router.flush_ingest();
+
+    const std::string primary = concat(db.bodies("lms"));
+    ASSERT_EQ(lines_of(primary).size(), accepted);
+    EXPECT_EQ(router.stats().points_out, accepted);
+    for (const std::string user : {"alice", "bob"}) {
+      const std::string copy = concat(db.bodies("user_" + user));
+      EXPECT_FALSE(copy.empty()) << user;
+      EXPECT_EQ(copy, lines_of_user(primary, user)) << user;
+    }
+    EXPECT_EQ(router.stats().points_duplicated,
+              lines_of(concat(db.bodies("user_alice"))).size() +
+                  lines_of(concat(db.bodies("user_bob"))).size());
+
+    // The broker saw exactly the accepted lines, in order.
+    std::string published;
+    while (auto msg = sub->try_receive()) published += msg->payload;
+    EXPECT_EQ(published, primary);
+  }
+}
+
+TEST(RouterBytes, QueueSplitLosesAndRepeatsNoLine) {
+  util::SimClock clock(100 * kSec);
+  RecordingDb db;
+  net::PubSubBroker broker;
+  TaskScheduler::Options sched_opts;
+  sched_opts.manual = true;
+  TaskScheduler sched(sched_opts);
+  MetricsRouter::Options opts;
+  opts.db_url = "inproc://tsdb";
+  opts.database = "lms";
+  opts.duplicate_per_user = true;
+  opts.async_ingest = true;
+  opts.scheduler = &sched;
+  opts.ingest_max_batch = 3;  // forces cuts inside and across writes
+  MetricsRouter router(db, clock, opts, &broker);
+  auto sub = broker.subscribe("metrics");
+  ASSERT_TRUE(router.job_start({"7", "alice", {"h1"}, {}}).ok());
+  db.clear();
+
+  std::size_t accepted = 0;
+  for (int w = 0; w < 7; ++w) {
+    std::string body;
+    for (int i = 0; i <= w; ++i) {
+      body += "cpu,hostname=h" + std::to_string(i % 2 + 1) + " v=" + std::to_string(w * 10 + i) +
+              " " + std::to_string(1000 + w * 10 + i) + "\n";
+    }
+    auto n = router.write_lines(body);
+    ASSERT_TRUE(n.ok()) << n.message();
+    accepted += *n;
+  }
+  const std::size_t flushed = router.flush_ingest();
+  EXPECT_EQ(flushed, accepted + router.stats().points_duplicated);
+  EXPECT_EQ(router.ingest_queue_points(), 0u);
+
+  std::string published;
+  while (auto msg = sub->try_receive()) published += msg->payload;
+  const auto forwards = db.bodies("lms");
+  EXPECT_GT(forwards.size(), 1u);
+  for (const auto& body : forwards) EXPECT_LE(lines_of(body).size(), 3u) << body;
+  // Concatenated, the cut batches are the accepted lines: none lost, none
+  // repeated, order kept.
+  EXPECT_EQ(concat(forwards), published);
+  EXPECT_EQ(lines_of(published).size(), accepted);
+  for (const auto& body : db.bodies("user_alice")) EXPECT_LE(lines_of(body).size(), 3u);
+  EXPECT_EQ(concat(db.bodies("user_alice")), lines_of_user(published, "alice"));
+  const auto s = router.stats();
+  EXPECT_EQ(s.points_out, accepted);
+  EXPECT_EQ(s.ingest_flushed, accepted + s.points_duplicated);
 }
 
 // ---------------------------------------------------------------- spool
