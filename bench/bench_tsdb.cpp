@@ -10,9 +10,12 @@
 #include <memory>
 
 #include "lms/lineproto/codec.hpp"
+#include "lms/net/http.hpp"
+#include "lms/tsdb/http_api.hpp"
 #include "lms/tsdb/persist.hpp"
 #include "lms/tsdb/query.hpp"
 #include "lms/tsdb/storage.hpp"
+#include "lms/util/clock.hpp"
 #include "lms/util/rng.hpp"
 
 namespace {
@@ -124,6 +127,68 @@ void BM_AppendSteadyState(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AppendSteadyState);
+
+/// An enriched /write body in the stack benchmark's ingest shape: the five
+/// collector measurements per host, each point tagged hostname/jobid/user
+/// (key-sorted, as the router forwards them), `points` lines starting at
+/// host `first_host`.
+std::string enriched_body(int first_host, int points, TimeNs t) {
+  struct Measurement {
+    const char* name;
+    std::vector<const char*> fields;
+  };
+  static const Measurement kMeasurements[] = {
+      {"cpu", {"user_percent", "system_percent", "iowait_percent"}},
+      {"memory", {"used_percent"}},
+      {"network", {"rx_bytes_per_sec", "tx_bytes_per_sec"}},
+      {"disk", {"read_bytes_per_sec", "write_bytes_per_sec"}},
+      {"likwid_mem_dp", {"dp_mflop_per_s", "memory_bandwidth_mbytes_per_s", "ipc"}},
+  };
+  util::Rng rng(static_cast<std::uint64_t>(first_host) + 11);
+  std::string body;
+  for (int i = 0; i < points; ++i) {
+    const int host = first_host + i / 5;
+    const Measurement& m = kMeasurements[i % 5];
+    lineproto::Point p;
+    p.measurement = m.name;
+    p.set_tag("hostname", "r" + std::to_string(host / 32) + "n" + std::to_string(host % 32));
+    p.set_tag("jobid", std::to_string(4000 + host / 16));
+    p.set_tag("user", "user" + std::to_string(host / 16 % 12));
+    for (const char* f : m.fields) p.add_field(f, rng.uniform(0, 1e5));
+    p.timestamp = t;
+    p.normalize();
+    lineproto::append_line(body, p);
+  }
+  return body;
+}
+
+void BM_WriteBody(benchmark::State& state) {
+  // The TSDB's /write handler on one primary forward of the ingest
+  // workload (1434 enriched points, ~150 KB) into a storage already holding
+  // ~7k series (1400 hosts x 5 measurements), so every line lands in an
+  // existing series — the steady state of a running stack.
+  constexpr int kHosts = 1400;
+  constexpr int kBodyPoints = 1434;
+  tsdb::Storage storage;
+  util::SimClock clock(1'500'000'000LL * kSec);
+  tsdb::HttpApi api(storage, clock);
+  const net::HttpHandler handler = api.handler();
+  for (int h = 0; h < kHosts; h += 200) {
+    handler(net::HttpRequest::post("/write?db=lms", enriched_body(h, 200 * 5, clock.now()),
+                                   "text/plain"));
+  }
+  const net::HttpRequest req =
+      net::HttpRequest::post("/write?db=lms", enriched_body(600, kBodyPoints, clock.now() + kSec),
+                             "text/plain");
+  for (auto _ : state) {
+    const net::HttpResponse resp = handler(req);
+    if (resp.status != 204) state.SkipWithError("write rejected");
+  }
+  state.counters["series"] = static_cast<double>(storage.totals().series);
+  state.SetItemsProcessed(state.iterations() * kBodyPoints);
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(req.body.size()));
+}
+BENCHMARK(BM_WriteBody)->Unit(benchmark::kMicrosecond);
 
 void BM_WindowedQueryVsSeriesCount(benchmark::State& state) {
   const int hosts = static_cast<int>(state.range(0));

@@ -3,8 +3,10 @@
 // (the dashboard-poll mix from the paper's production setting). Every
 // configuration runs twice — against a single-stripe storage (the old
 // global-lock layout, Storage(1)) and against the default 16-stripe layout —
-// so the speedup from lock striping is measured, not assumed. Writes the
-// numbers as a machine-readable baseline to BENCH_tsdb_ingest.json.
+// so the speedup from lock striping is measured, not assumed. The six
+// configurations run round-robin for several rounds, so drift hits them
+// alike; the baseline (BENCH_tsdb_ingest.json) records each one's median and
+// range over the rounds.
 
 #include <atomic>
 #include <chrono>
@@ -25,7 +27,8 @@ using namespace lms;
 
 constexpr util::TimeNs kSec = util::kNanosPerSecond;
 constexpr util::TimeNs kT0 = 1'500'000'000LL * kSec;
-const int kPointsPerWriter = bench::scaled(40'000, 1'000);
+const int kPointsPerWriter = bench::scaled(200'000, 1'000);  // runs of ~0.1 s, not ~10 ms
+const int kRounds = bench::scaled(9, 1);  // rounds over all configs: median and range
 constexpr int kBatchSize = 100;      // points per storage.write(), like a collector batch
 constexpr int kQueryThreads = 2;     // dashboard-style pollers
 constexpr int kHostsPerWriter = 64;  // distinct series per writer thread
@@ -98,35 +101,52 @@ RunResult run_ingest(std::size_t stripes, int writer_threads) {
 int main() {
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("=== bench_tsdb_ingest: %d pts/writer, batches of %d, %d query threads, "
-              "%u hardware threads ===\n\n",
-              kPointsPerWriter, kBatchSize, kQueryThreads, hw);
-  std::printf("%-22s %8s %12s %12s %10s\n", "config", "writers", "Mpts/s", "wall ms",
-              "queries");
+              "median of %d rounds, %u hardware threads ===\n\n",
+              kPointsPerWriter, kBatchSize, kQueryThreads, kRounds, hw);
 
-  const int writer_counts[] = {1, 4, 8};
-  json::Array runs;
-  double speedup_at_8 = 0;
-  for (const int writers : writer_counts) {
-    const RunResult single = run_ingest(1, writers);
-    const RunResult sharded = run_ingest(tsdb::Database::kDefaultShards, writers);
-    const double speedup = sharded.points_per_sec / single.points_per_sec;
-    if (writers == 8) speedup_at_8 = speedup;
-    std::printf("%-22s %8d %12.2f %12.1f %10llu\n", "single-stripe", writers,
-                single.points_per_sec / 1e6, single.wall_ms,
-                static_cast<unsigned long long>(single.queries_served));
-    std::printf("%-22s %8d %12.2f %12.1f %10llu   (%.2fx)\n", "sharded-16", writers,
-                sharded.points_per_sec / 1e6, sharded.wall_ms,
-                static_cast<unsigned long long>(sharded.queries_served), speedup);
-    for (const auto* r : {&single, &sharded}) {
-      json::Object o;
-      o["stripes"] = (r == &single) ? 1 : static_cast<std::int64_t>(tsdb::Database::kDefaultShards);
-      o["writer_threads"] = writers;
-      o["points_per_sec"] = r->points_per_sec;
-      o["wall_ms"] = r->wall_ms;
-      o["queries_served"] = static_cast<std::int64_t>(r->queries_served);
-      runs.emplace_back(std::move(o));
+  struct Config {
+    std::size_t stripes;
+    int writers;
+  };
+  const Config configs[] = {{1, 1}, {tsdb::Database::kDefaultShards, 1},
+                            {1, 4}, {tsdb::Database::kDefaultShards, 4},
+                            {1, 8}, {tsdb::Database::kDefaultShards, 8}};
+  constexpr int kConfigs = static_cast<int>(sizeof(configs) / sizeof(configs[0]));
+  struct PerConfig {
+    std::vector<double> points_per_sec, wall_ms, queries_served;
+  };
+  PerConfig per[kConfigs];
+  std::vector<double> speedups_8;  // per round: sharded / single-stripe at 8 writers
+  (void)run_ingest(1, 1);          // warmup, discarded
+  for (int r = 0; r < kRounds; ++r) {
+    for (int c = 0; c < kConfigs; ++c) {
+      const RunResult res = run_ingest(configs[c].stripes, configs[c].writers);
+      per[c].points_per_sec.push_back(res.points_per_sec);
+      per[c].wall_ms.push_back(res.wall_ms);
+      per[c].queries_served.push_back(static_cast<double>(res.queries_served));
     }
+    speedups_8.push_back(per[5].points_per_sec.back() / per[4].points_per_sec.back());
   }
+
+  std::printf("%-14s %8s %12s %22s %10s %10s\n", "config", "writers", "Mpts/s", "[min, max]",
+              "wall ms", "queries");
+  json::Array runs;
+  for (int c = 0; c < kConfigs; ++c) {
+    const bench::Spread pps = bench::spread(per[c].points_per_sec);
+    const bench::Spread wall = bench::spread(per[c].wall_ms);
+    const bench::Spread queries = bench::spread(per[c].queries_served);
+    std::printf("%-14s %8d %12.2f   [%8.2f, %8.2f] %10.1f %10.0f\n",
+                configs[c].stripes == 1 ? "single-stripe" : "sharded-16", configs[c].writers,
+                pps.median / 1e6, pps.min / 1e6, pps.max / 1e6, wall.median, queries.median);
+    json::Object o;
+    o["stripes"] = static_cast<std::int64_t>(configs[c].stripes);
+    o["writer_threads"] = configs[c].writers;
+    bench::put_spread(o, "points_per_sec", pps);
+    bench::put_spread(o, "wall_ms", wall);
+    bench::put_spread(o, "queries_served", queries);
+    runs.emplace_back(std::move(o));
+  }
+  const bench::Spread speedup_8 = bench::spread(speedups_8);
 
   json::Object top;
   top["bench"] = "bench_tsdb_ingest";
@@ -137,9 +157,11 @@ int main() {
   top["points_per_writer"] = kPointsPerWriter;
   top["batch_size"] = kBatchSize;
   top["query_threads"] = kQueryThreads;
+  top["rounds"] = kRounds;
   top["runs"] = std::move(runs);
-  top["speedup_8_writers"] = speedup_at_8;
-  std::printf("\nsharded speedup at 8 writers: %.2fx\n", speedup_at_8);
+  bench::put_spread(top, "speedup_8_writers", speedup_8);
+  std::printf("\nsharded speedup at 8 writers: %.2fx [%.2f, %.2f]\n", speedup_8.median,
+              speedup_8.min, speedup_8.max);
   return bench::write_baseline("BENCH_tsdb_ingest.json",
                                json::Value(std::move(top)).dump_pretty())
              ? 0

@@ -25,9 +25,10 @@
 //   GET  /ready                 readiness: health + DB back-end reachability
 //
 // Ingest runs as one pass parse -> enrich -> serialize -> append. The body
-// is parsed once into a tsdb::WriteBatch (the same parser the TSDB façade
-// uses, so the 400/404 error responses are byte-identical on both
-// services) and enriched from the tag store under one lock per batch. Then
+// is parsed once into a tsdb::WriteBatch (the TSDB façade scans bodies with
+// the same tokenizer and shares the db/precision handling, so the 400/404
+// error responses are byte-identical on both services) and enriched from
+// the tag store under one lock per batch. Then
 // every point is serialized exactly once: its line goes to the primary
 // database's buffer, again to its user's database buffer (per-user
 // duplication) and, as the whole accepted batch, to the broker. After that

@@ -19,6 +19,11 @@
 
 namespace lms::lineproto {
 
+/// A field value that does not own its string: what the line scanner yields
+/// and what the storage appends. The variant index is the value type, in the
+/// order of FieldValue's (float, integer, boolean, string).
+using ValueView = std::variant<double, std::int64_t, bool, std::string_view>;
+
 /// A field value: float, integer, boolean or string. Events (paper §III-C)
 /// are points whose value is a string.
 class FieldValue {
@@ -41,6 +46,7 @@ class FieldValue {
   std::int64_t as_int() const;         ///< truncating for doubles
   bool as_bool() const;                ///< nonzero / true
   std::string as_string() const;       ///< rendered value (no quoting)
+  ValueView view() const;              ///< the same value, string body as a view
 
   bool operator==(const FieldValue& other) const { return v_ == other.v_; }
 
@@ -71,7 +77,7 @@ struct Point {
   /// Add a field (no duplicate check).
   void add_field(std::string_view key, FieldValue value);
 
-  /// Sort tags by key (the canonical form used for series identity).
+  /// Sort tags by key, stably (the canonical form used for series identity).
   void normalize();
 
   /// The hostname tag, the mandatory routing key of the stack (§III-A).

@@ -79,6 +79,18 @@ struct HttpResponse {
 /// Reason phrase for a status code.
 std::string_view status_reason(int status);
 
+/// A request head parsed on its own: the request without its body, and the
+/// length of the body that follows it (Content-Length, 0 when absent).
+struct RequestHead {
+  HttpRequest request;
+  std::size_t content_length = 0;
+};
+
+/// Parse a request head: the start line and headers, up to and including
+/// the blank line that ends them. A server parses each head once, then
+/// receives the body straight into `request.body`.
+util::Result<RequestHead> parse_request_head(std::string_view head);
+
 /// Parse one full request/response from a buffer (headers + body present).
 /// Returns the consumed byte count via `consumed` to support pipelining.
 util::Result<HttpRequest> parse_request(std::string_view data, std::size_t* consumed);

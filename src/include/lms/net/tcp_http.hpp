@@ -46,7 +46,9 @@ class TcpHttpServer {
   /// Bind + listen + start the accept thread. Returns the bound port.
   util::Result<int> start();
 
-  /// Stop accepting and join all threads.
+  /// Stop accepting, wake every worker (idle keep-alive connections
+  /// included, by shutting down their sockets' read side) and join all
+  /// threads.
   void stop();
 
   int port() const { return port_; }
@@ -54,10 +56,14 @@ class TcpHttpServer {
 
  private:
   /// A connection's thread; `done` is set as its last action, so joining a
-  /// done worker never blocks on a live connection.
+  /// done worker never blocks on a live connection. `fd` is the connection's
+  /// socket while it is open, -1 once the worker is about to close it; it is
+  /// read and written under workers_mu_ only, so stop() never shuts down a
+  /// closed (and possibly reused) descriptor.
   struct Worker {
     std::thread thread;
     std::atomic<bool> done{false};
+    int fd = -1;
   };
 
   void accept_loop();

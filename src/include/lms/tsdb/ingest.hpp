@@ -1,11 +1,13 @@
 #pragma once
 
-// Shared /write request parsing for the TSDB HTTP façade and the metrics
+// Shared /write request handling for the TSDB HTTP façade and the metrics
 // router. Both components accept the same InfluxDB-compatible endpoint
 //   POST /write?db=<name>[&precision=ns|u|ms|s]   body: line protocol
 // so the db/precision handling and the error responses (400 for a batch with
 // no parseable line, 404 for an unknown database) are defined once here and
-// are byte-identical on both services.
+// are byte-identical on both services. The router parses bodies into Points
+// (parse_write_request), because it enriches them; the TSDB scans them into
+// line views (lineproto::scan) and applies those directly.
 
 #include <string>
 #include <vector>
@@ -24,11 +26,28 @@ struct WriteRequest {
   std::vector<std::string> errors;   ///< per-line parse errors (skipped lines)
 };
 
+/// Where a /write request lands: the database (?db=, or the service's
+/// default) and the timestamp multiplier of its ?precision=.
+struct WriteTarget {
+  std::string db;
+  TimeNs timestamp_scale = 1;
+};
+
 /// Timestamp multiplier for an InfluxDB precision literal ("ns", "u"/"us",
 /// "ms", "s", "m", "h"). Errors on anything else.
 util::Result<TimeNs> parse_precision(std::string_view precision);
 
-/// Parse a /write request: db from ?db= (falling back to `default_db`),
+/// The db and precision of a /write request. Fails on an invalid precision
+/// with the message write_error_response() turns into the 400 body.
+util::Result<WriteTarget> parse_write_target(const net::HttpRequest& req,
+                                             const std::string& default_db);
+
+/// The lenient-parse verdict of a /write body that yielded `accepted` lines
+/// and `errors`: a body with errors and no accepted line fails with the
+/// message write_error_response() turns into the 400 body.
+util::Status check_lenient_parse(std::size_t accepted, const std::vector<std::string>& errors);
+
+/// Parse a /write request into Points: db from ?db= (falling back to `default_db`),
 /// precision from ?precision=, body as lenient line protocol. Fails when the
 /// precision is invalid or when the body yields no points despite parse
 /// errors — in both cases the message is what write_error_response() turns

@@ -30,11 +30,23 @@
 // of that batch (per-stripe atomicity, not per-batch) — acceptable for a
 // monitoring store and the price of not having a global lock.
 //
-// One write path: write_batch buckets a batch's points by stripe, then
-// applies each bucket under its stripe's write lock, one stripe at a time,
-// so a writer never holds two stripes and takes each once per batch. A
-// single-stripe database (Storage(1)) runs the same loop with one bucket;
-// it is the global-lock baseline bench_tsdb_ingest measures sharding by.
+// Series index: each stripe holds one hash map from the canonical series
+// key — the bytes lineproto::append_line writes before the first space
+// (measurement plus key-sorted tags, serializer-escaped) — to its Series.
+// The stripe of a series is that key's hash modulo the stripe count, and
+// the map reuses the same hash. A scanned line whose prefix is already
+// canonical (lineproto::LineView::canonical — every line the router
+// forwards) is looked up by its raw bytes without an allocation; any other
+// line, and every Point, first has its key built into a scratch buffer.
+//
+// One write path: write_lines resolves each line's key and stripe, buckets
+// the lines by stripe, then applies each bucket under its stripe's write
+// lock, one stripe at a time, so a writer never holds two stripes and takes
+// each once per batch. Point writers (write_batch: continuous-query rollups,
+// alert events, snapshot load) are projected into the same scanned form
+// first, 256 points at a time. A single-stripe database (Storage(1)) runs
+// the same loop with one bucket; it is the global-lock baseline
+// bench_tsdb_ingest measures sharding by.
 
 #include <cstdint>
 #include <functional>
@@ -45,10 +57,12 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <variant>
 #include <vector>
 
 #include "lms/core/sync.hpp"
+#include "lms/lineproto/codec.hpp"
 #include "lms/lineproto/point.hpp"
 #include "lms/util/status.hpp"
 
@@ -57,6 +71,7 @@ namespace lms::tsdb {
 using lineproto::FieldValue;
 using lineproto::Point;
 using lineproto::Tag;
+using lineproto::ValueView;
 using util::TimeNs;
 
 /// A field column: a sorted time vector and one typed value vector.
@@ -67,7 +82,7 @@ class Column {
 
   /// Insert one sample in time order. The first value fixes the column's
   /// type; a value of another type is not stored and returns false.
-  bool append(TimeNs t, const FieldValue& v);
+  bool append(TimeNs t, const ValueView& v);
   std::size_t size() const { return times_.size(); }
   bool empty() const { return times_.empty(); }
   Type type() const { return static_cast<Type>(values_.index()); }
@@ -113,7 +128,7 @@ class Column {
 struct Series {
   std::string measurement;
   std::vector<Tag> tags;  // sorted by key
-  std::map<std::string, Column> columns;
+  std::map<std::string, Column, std::less<>> columns;
 
   std::string_view tag(std::string_view key) const;
 };
@@ -192,21 +207,35 @@ class Database {
   const std::string& name() const { return name_; }
   std::size_t shard_count() const { return shards_.size(); }
 
-  /// Which stripe a series identity hashes to — the query engine uses this
-  /// to report how many distinct shards a statement touched (EXPLAIN,
-  /// /debug/slow_queries). `tags` must be the series' sorted tag set.
+  /// Which stripe a series identity hashes to: the stripe the write path
+  /// stores it in. The query engine uses this to report how many distinct
+  /// shards a statement touched (EXPLAIN, /debug/slow_queries). `tags` must
+  /// be the series' sorted tag set.
   std::size_t shard_of_key(std::string_view measurement, const std::vector<Tag>& tags) const;
 
-  /// Ingest one normalized point. Points with timestamp 0 get `default_time`.
+  /// The series of one identity (`tags` sorted), looked up in stripe
+  /// shard_of_key() only; nullptr if absent there. Lets tests check that
+  /// shard_of_key() names the stripe the write path chose.
+  const Series* find_series(std::string_view measurement, const std::vector<Tag>& tags) const;
+
+  /// Ingest one point. Points with timestamp 0 get `default_time`.
   /// Returns the number of field values rejected for a type conflict.
   std::size_t write(const Point& point, TimeNs default_time);
 
-  /// Ingest a batch: points are bucketed per shard first, so each stripe is
-  /// locked exactly once per batch. Non-zero timestamps are multiplied by
-  /// `timestamp_scale` (precision handling); zero timestamps get
-  /// `default_time` unscaled. Returns the number of field values rejected
-  /// for a type conflict (their points' other fields still land).
-  std::size_t write_batch(const std::vector<Point>& points, TimeNs default_time,
+  /// Ingest a batch of points (tags need not be sorted), applied as
+  /// write_lines does, one 256-point chunk at a time. Non-zero timestamps
+  /// are multiplied by `timestamp_scale` (precision handling); zero
+  /// timestamps get `default_time` unscaled. Returns the number of field
+  /// values rejected for a type conflict (their points' other fields still
+  /// land).
+  std::size_t write_batch(std::span<const Point> points, TimeNs default_time,
+                          TimeNs timestamp_scale = 1);
+
+  /// Ingest scanned lines (lineproto::scan) — the /write path. Lines are
+  /// bucketed per stripe first, so each stripe is locked exactly once per
+  /// batch. Timestamps as in write_batch. Sorts the tags of non-canonical
+  /// lines in place.
+  std::size_t write_lines(lineproto::ScannedBatch& lines, TimeNs default_time,
                           TimeNs timestamp_scale = 1);
 
   /// All series of a measurement (pointers stable while a ReadSnapshot is
@@ -240,35 +269,54 @@ class Database {
  private:
   friend class ReadSnapshot;
 
-  struct SeriesKey {
-    std::string measurement;
-    std::vector<Tag> tags;
-    bool operator<(const SeriesKey& other) const {
-      if (measurement != other.measurement) return measurement < other.measurement;
-      return tags < other.tags;
-    }
+  /// A series-index key with its hash computed once: the same hash picks
+  /// the stripe and the bucket.
+  struct HashedKey {
+    std::string_view bytes;
+    std::size_t hash;
+  };
+  /// Not noexcept on purpose: libstdc++ then caches each node's hash, so a
+  /// lookup compares hashes before bytes and never rehashes a stored key.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const;
+    std::size_t operator()(const HashedKey& key) const { return key.hash; }
+  };
+  struct KeyEqual {
+    using is_transparent = void;
+    bool operator()(std::string_view a, std::string_view b) const noexcept { return a == b; }
+    bool operator()(const HashedKey& a, std::string_view b) const noexcept { return a.bytes == b; }
+    bool operator()(std::string_view a, const HashedKey& b) const noexcept { return a == b.bytes; }
   };
 
-  /// One lock stripe: its own mutex, series map and per-measurement indexes.
-  /// A series lives entirely inside the shard its key hashes to. Stripe
-  /// mutexes share Rank::kTsdbShard with seq = stripe index, so the rank
-  /// checker enforces the fixed 0..N-1 multi-stripe acquisition order that
-  /// ReadSnapshot's blocking fallback relies on. The data members are not
-  /// GUARDED_BY(mu): read accessors deliberately take no lock (the snapshot
-  /// protocol pins the stripes instead), which static analysis cannot see.
+  /// One lock stripe: its own mutex, series index and per-measurement tag
+  /// indexes. A series lives entirely inside the shard its key hashes to.
+  /// Stripe mutexes share Rank::kTsdbShard with seq = stripe index, so the
+  /// rank checker enforces the fixed 0..N-1 multi-stripe acquisition order
+  /// that ReadSnapshot's blocking fallback relies on. The data members are
+  /// not GUARDED_BY(mu): read accessors deliberately take no lock (the
+  /// snapshot protocol pins the stripes instead), which static analysis
+  /// cannot see.
   struct Shard {
     explicit Shard(std::size_t stripe)
         : mu(core::sync::Rank::kTsdbShard, "tsdb.shard", stripe) {}
     mutable core::sync::SharedMutex mu;
-    std::map<SeriesKey, std::unique_ptr<Series>> series;
+    /// canonical series key -> series (node-based: Series addresses are stable)
+    std::unordered_map<std::string, Series, KeyHash, KeyEqual> series;
     // measurement -> tag key -> tag value -> series pointers
     std::map<std::string, std::map<std::string, std::map<std::string, std::set<Series*>>>> index;
     std::map<std::string, std::set<Series*>> by_measurement;
   };
 
-  std::size_t shard_of(const Point& point) const;
-  /// Returns the number of field values rejected for a type conflict.
-  std::size_t write_into(Shard& shard, const Point& point, TimeNs t) const;
+  /// Per-thread buffers of the write path, so steady-state writes do not
+  /// allocate.
+  struct WriteScratch;
+
+  /// Apply one line to its stripe (held exclusively): find or create its
+  /// series, append its fields. Returns the type-conflict count.
+  static std::size_t apply_line(Shard& shard, const HashedKey& key,
+                                const lineproto::ScannedBatch& batch,
+                                const lineproto::LineView& line, TimeNs t);
   std::size_t drop_before_shard(Shard& shard, TimeNs cutoff,
                                 const std::function<bool(const std::string&)>& pred);
 

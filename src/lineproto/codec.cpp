@@ -91,14 +91,26 @@ void append_field_value(std::string& out, const FieldValue& v) {
   }
 }
 
-void append_point(std::string& out, const Point& point) {
-  append_escaped(out, point.measurement, kMeasurementEscapes);
-  for (const auto& [k, v] : point.tags) {
+const std::string& tag_key(const Tag& t) { return t.first; }
+const std::string& tag_value(const Tag& t) { return t.second; }
+std::string_view tag_key(const TagView& t) { return t.key; }
+std::string_view tag_value(const TagView& t) { return t.value; }
+
+/// The series-key prefix: measurement and tag set, escaped, in the order
+/// given (callers pass key-sorted tags).
+template <typename Tags>
+void append_key(std::string& out, std::string_view measurement, const Tags& tags) {
+  append_escaped(out, measurement, kMeasurementEscapes);
+  for (const auto& t : tags) {
     out.push_back(',');
-    append_escaped(out, k, kKeyEscapes);
+    append_escaped(out, tag_key(t), kKeyEscapes);
     out.push_back('=');
-    append_escaped(out, v, kKeyEscapes);
+    append_escaped(out, tag_value(t), kKeyEscapes);
   }
+}
+
+void append_point(std::string& out, const Point& point) {
+  append_key(out, point.measurement, point.tags);
   out.push_back(' ');
   bool first = true;
   for (const auto& [k, v] : point.fields) {
@@ -134,14 +146,40 @@ std::string serialize_batch(const std::vector<Point>& points) {
   return out;
 }
 
+void append_series_key(std::string& out, std::string_view measurement,
+                       std::span<const TagView> tags) {
+  append_key(out, measurement, tags);
+}
+
+void append_series_key(std::string& out, std::string_view measurement,
+                       const std::vector<Tag>& tags) {
+  append_key(out, measurement, tags);
+}
+
+void sort_tags(std::span<TagView> tags) {
+  // The comparator and algorithm of Point::normalize().
+  const auto by_key = [](const TagView& a, const TagView& b) { return a.key < b.key; };
+  if (!std::is_sorted(tags.begin(), tags.end(), by_key)) {
+    std::stable_sort(tags.begin(), tags.end(), by_key);
+  }
+}
+
+void ScannedBatch::clear() {
+  lines.clear();
+  tags.clear();
+  fields.clear();
+  unescaped.clear();
+}
+
 namespace {
 
 /// Tokenizer over one line honoring backslash escapes. Tokens are views:
-/// into the line when they hold no backslash, otherwise into a caller's
-/// buffer that receives the unescaped copy.
+/// into the line when they hold no backslash, otherwise into a fresh string
+/// of `unescaped` that receives the unescaped copy.
 class LineScanner {
  public:
-  explicit LineScanner(std::string_view line) : line_(line) {}
+  LineScanner(std::string_view line, std::forward_list<std::string>& unescaped)
+      : line_(line), unescaped_(unescaped) {}
 
   bool eof() const { return pos_ >= line_.size(); }
   char peek() const { return line_[pos_]; }
@@ -149,22 +187,24 @@ class LineScanner {
   void skip_spaces() {
     while (!eof() && peek() == ' ') ++pos_;
   }
-  std::string_view rest() const { return line_.substr(pos_); }
+  std::size_t pos() const { return pos_; }
+  /// Whether any token read so far held a backslash.
+  bool saw_backslash() const { return saw_backslash_; }
 
   /// Read up to an unescaped character in `stops` (not consumed).
-  std::string_view read_until(std::uint8_t stops, std::string& buf) {
+  std::string_view read_until(std::uint8_t stops) {
     const std::size_t start = pos_;
     for (; pos_ < line_.size(); ++pos_) {
       const std::uint8_t c = char_class(line_[pos_]);
       if ((c & stops) != 0) break;
-      if ((c & kBackslash) != 0) return read_escaped(start, stops, buf);
+      if ((c & kBackslash) != 0) return read_escaped(start, stops);
     }
     return line_.substr(start, pos_ - start);
   }
 
   /// Read a string field's body after its opening quote, consuming the
   /// closing quote. Returns false when the quote is never closed.
-  bool read_quoted(std::string_view& out, std::string& buf) {
+  bool read_quoted(std::string_view& out) {
     const std::size_t start = pos_;
     for (; pos_ < line_.size(); ++pos_) {
       const std::uint8_t c = char_class(line_[pos_]);
@@ -173,15 +213,22 @@ class LineScanner {
         ++pos_;
         return true;
       }
-      if ((c & kBackslash) != 0) return read_quoted_escaped(start, out, buf);
+      if ((c & kBackslash) != 0) return read_quoted_escaped(start, out);
     }
     return false;
   }
 
  private:
-  /// Slow path of read_until: the token holds a backslash at pos_.
-  std::string_view read_escaped(std::size_t start, std::uint8_t stops, std::string& buf) {
+  std::string& fresh_buffer(std::size_t start) {
+    saw_backslash_ = true;
+    std::string& buf = unescaped_.emplace_front();
     buf.assign(line_.data() + start, pos_ - start);
+    return buf;
+  }
+
+  /// Slow path of read_until: the token holds a backslash at pos_.
+  std::string_view read_escaped(std::size_t start, std::uint8_t stops) {
+    std::string& buf = fresh_buffer(start);
     while (!eof()) {
       const char c = line_[pos_];
       if (c == '\\' && pos_ + 1 < line_.size() &&
@@ -199,8 +246,8 @@ class LineScanner {
 
   /// Slow path of read_quoted: the body holds a backslash at pos_; only
   /// '"' and '\' are escapable inside a string.
-  bool read_quoted_escaped(std::size_t start, std::string_view& out, std::string& buf) {
-    buf.assign(line_.data() + start, pos_ - start);
+  bool read_quoted_escaped(std::size_t start, std::string_view& out) {
+    std::string& buf = fresh_buffer(start);
     while (!eof()) {
       const char c = line_[pos_++];
       if (c == '\\' && !eof() && (peek() == '"' || peek() == '\\')) {
@@ -217,7 +264,9 @@ class LineScanner {
   }
 
   std::string_view line_;
+  std::forward_list<std::string>& unescaped_;
   std::size_t pos_ = 0;
+  bool saw_backslash_ = false;
 };
 
 std::string quoted(std::string_view s) {
@@ -227,77 +276,79 @@ std::string quoted(std::string_view s) {
   return out;
 }
 
-util::Result<FieldValue> parse_field_value(LineScanner& sc, std::string& buf) {
-  using R = util::Result<FieldValue>;
+util::Result<ValueView> scan_field_value(LineScanner& sc) {
+  using R = util::Result<ValueView>;
   if (sc.eof()) return R::error("missing field value");
   if (sc.peek() == '"') {
     sc.advance();
     std::string_view body;
-    if (!sc.read_quoted(body, buf)) return R::error("unterminated string field");
-    return FieldValue(std::string(body));
+    if (!sc.read_quoted(body)) return R::error("unterminated string field");
+    return ValueView(std::in_place_index<3>, body);
   }
-  const std::string_view token = sc.read_until(kComma | kSpace, buf);
+  const std::string_view token = sc.read_until(kComma | kSpace);
   if (token.empty()) return R::error("empty field value");
   if (token == "t" || token == "T" || token == "true" || token == "True" || token == "TRUE") {
-    return FieldValue(true);
+    return ValueView(std::in_place_index<2>, true);
   }
   if (token == "f" || token == "F" || token == "false" || token == "False" ||
       token == "FALSE") {
-    return FieldValue(false);
+    return ValueView(std::in_place_index<2>, false);
   }
   if (token.back() == 'i') {
     const auto i = util::parse_int64(token.substr(0, token.size() - 1));
     if (!i) return R::error("bad integer field " + quoted(token));
-    return FieldValue(*i);
+    return ValueView(std::in_place_index<1>, *i);
   }
   const auto d = util::parse_double(token);
   if (!d) return R::error("bad field value " + quoted(token));
-  return FieldValue(*d);
+  return ValueView(std::in_place_index<0>, *d);
 }
 
-/// Parse one line into `p` (empty on entry).
-util::Status parse_into(std::string_view line, Point& p) {
+/// Scan one line, appending its LineView, tags and fields to `out`. On error
+/// nothing of the line is kept.
+util::Status scan_line(std::string_view line, ScannedBatch& out) {
   using util::Status;
-  LineScanner sc(line);
-  std::string key_buf;
-  std::string value_buf;
-  p.measurement = sc.read_until(kComma | kSpace, value_buf);
-  if (p.measurement.empty()) return Status::error("empty measurement");
+  const std::size_t tags_begin = out.tags.size();
+  const std::size_t fields_begin = out.fields.size();
+  const auto fail = [&](std::string message) {
+    out.tags.resize(tags_begin);
+    out.fields.resize(fields_begin);
+    return Status::error(std::move(message));
+  };
+  LineScanner sc(line, out.unescaped);
+  LineView lv;
+  lv.measurement = sc.read_until(kComma | kSpace);
+  if (lv.measurement.empty()) return fail("empty measurement");
 
-  // Tag set. Every tag is introduced by a comma before the field set, so
-  // their count bounds the tags (escaped commas only over-reserve).
-  if (!sc.eof() && sc.peek() == ',') {
-    const std::string_view rest = sc.rest();
-    const auto tag_set = rest.substr(0, rest.find(' '));
-    p.tags.reserve(static_cast<std::size_t>(std::count(tag_set.begin(), tag_set.end(), ',')));
-  }
+  // Tag set. The prefix stays canonical while tag keys strictly ascend and
+  // no value holds an '=' (append_series_key escapes it).
+  bool canonical = true;
   while (!sc.eof() && sc.peek() == ',') {
     sc.advance();
-    const std::string_view key = sc.read_until(kEquals | kComma | kSpace, key_buf);
-    if (sc.eof() || sc.peek() != '=') return Status::error("tag " + quoted(key) + " missing '='");
+    const std::string_view key = sc.read_until(kEquals | kComma | kSpace);
+    if (sc.eof() || sc.peek() != '=') return fail("tag " + quoted(key) + " missing '='");
     sc.advance();
-    const std::string_view value = sc.read_until(kComma | kSpace, value_buf);
-    if (key.empty() || value.empty()) return Status::error("empty tag key or value");
-    p.tags.emplace_back(std::string(key), std::string(value));
+    const std::string_view value = sc.read_until(kComma | kSpace);
+    if (key.empty() || value.empty()) return fail("empty tag key or value");
+    if (canonical && ((out.tags.size() > tags_begin && !(out.tags.back().key < key)) ||
+                      value.find('=') != std::string_view::npos)) {
+      canonical = false;
+    }
+    out.tags.push_back({key, value});
   }
-  if (sc.eof() || sc.peek() != ' ') return Status::error("missing field set");
+  if (sc.eof() || sc.peek() != ' ') return fail("missing field set");
+  lv.prefix = line.substr(0, sc.pos());
+  lv.canonical = canonical && !sc.saw_backslash();
   sc.skip_spaces();
 
-  // Field set: at most one more field than commas in the rest of the line.
-  {
-    const std::string_view rest = sc.rest();
-    p.fields.reserve(1 + static_cast<std::size_t>(std::count(rest.begin(), rest.end(), ',')));
-  }
   while (true) {
-    const std::string_view key = sc.read_until(kEquals | kComma | kSpace, key_buf);
-    if (key.empty()) return Status::error("empty field key");
-    if (sc.eof() || sc.peek() != '=') {
-      return Status::error("field " + quoted(key) + " missing '='");
-    }
+    const std::string_view key = sc.read_until(kEquals | kComma | kSpace);
+    if (key.empty()) return fail("empty field key");
+    if (sc.eof() || sc.peek() != '=') return fail("field " + quoted(key) + " missing '='");
     sc.advance();
-    auto value = parse_field_value(sc, value_buf);
-    if (!value.ok()) return Status::error(value.message());
-    p.fields.emplace_back(std::string(key), value.take());
+    auto value = scan_field_value(sc);
+    if (!value.ok()) return fail(value.message());
+    out.fields.push_back({key, *value});
     if (!sc.eof() && sc.peek() == ',') {
       sc.advance();
       continue;
@@ -309,26 +360,60 @@ util::Status parse_into(std::string_view line, Point& p) {
   if (!sc.eof() && sc.peek() == ' ') {
     sc.skip_spaces();
     if (!sc.eof()) {
-      const std::string_view ts = sc.read_until(kSpace, value_buf);
+      const std::string_view ts = sc.read_until(kSpace);
       const auto t = util::parse_int64(ts);
-      if (!t) return Status::error("bad timestamp " + quoted(ts));
-      p.timestamp = *t;
+      if (!t) return fail("bad timestamp " + quoted(ts));
+      lv.timestamp = *t;
       sc.skip_spaces();
-      if (!sc.eof()) return Status::error("trailing content after timestamp");
+      if (!sc.eof()) return fail("trailing content after timestamp");
     }
   }
-  p.normalize();
+  lv.tags_begin = static_cast<std::uint32_t>(tags_begin);
+  lv.tags_end = static_cast<std::uint32_t>(out.tags.size());
+  lv.fields_begin = static_cast<std::uint32_t>(fields_begin);
+  lv.fields_end = static_cast<std::uint32_t>(out.fields.size());
+  out.lines.push_back(lv);
   return {};
 }
 
-/// The one line loop of parse() and parse_lenient(): parses every line of
-/// `text` that is neither blank nor a '#' comment (lines are trimmed, so
-/// CRLF endings parse). A malformed line's "line <n>: <why>" message (n is
-/// 1-based) goes to `on_error`; parsing stops there when it returns false.
-template <typename OnError>
-std::vector<Point> parse_lines(std::string_view text, OnError&& on_error) {
-  std::vector<Point> points;
-  points.reserve(1 + static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')));
+FieldValue to_field_value(const ValueView& v) {
+  switch (v.index()) {
+    case 0:
+      return std::get<0>(v);
+    case 1:
+      return std::get<1>(v);
+    case 2:
+      return std::get<2>(v);
+    default:
+      return std::string(std::get<3>(v));
+  }
+}
+
+/// Build the normalized Point of a scanned line.
+Point to_point(const ScannedBatch& batch, const LineView& line) {
+  Point p;
+  p.measurement = line.measurement;
+  const auto tags = batch.tags_of(line);
+  p.tags.reserve(tags.size());
+  for (const TagView& t : tags) p.tags.emplace_back(std::string(t.key), std::string(t.value));
+  const auto fields = batch.fields_of(line);
+  p.fields.reserve(fields.size());
+  for (const FieldView& f : fields) {
+    p.fields.emplace_back(std::string(f.key), to_field_value(f.value));
+  }
+  p.timestamp = line.timestamp;
+  if (!line.canonical) p.normalize();  // canonical tags already strictly ascend
+  return p;
+}
+
+/// The one line loop of scan(), parse() and parse_lenient(): scans every
+/// line of `text` that is neither blank nor a '#' comment (lines are
+/// trimmed, so CRLF endings parse) into `batch` and calls `on_line` after
+/// each. A malformed line's "line <n>: <why>" message (n is 1-based) goes to
+/// `on_error`; scanning stops there when it returns false.
+template <typename OnLine, typename OnError>
+void scan_lines(std::string_view text, ScannedBatch& batch, OnLine&& on_line,
+                OnError&& on_error) {
   std::size_t line_no = 0;
   std::size_t start = 0;
   while (start <= text.size()) {
@@ -338,21 +423,51 @@ std::vector<Point> parse_lines(std::string_view text, OnError&& on_error) {
     const std::string_view line = util::trim(text.substr(start, end - start));
     start = end + 1;
     if (line.empty() || line[0] == '#') continue;
-    Point& p = points.emplace_back();
-    if (auto st = parse_into(line, p); !st.ok()) {
-      points.pop_back();
+    if (auto st = scan_line(line, batch); !st.ok()) {
       if (!on_error("line " + std::to_string(line_no) + ": " + st.message())) break;
+      continue;
     }
+    on_line(batch);
   }
+}
+
+std::size_t line_count(std::string_view text) {
+  return 1 + static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+}
+
+template <typename OnError>
+std::vector<Point> parse_lines(std::string_view text, OnError&& on_error) {
+  std::vector<Point> points;
+  points.reserve(line_count(text));
+  ScannedBatch batch;
+  scan_lines(
+      text, batch,
+      [&points](ScannedBatch& b) {
+        points.push_back(to_point(b, b.lines.back()));
+        b.clear();
+      },
+      on_error);
   return points;
 }
 
 }  // namespace
 
+void scan(std::string_view text, ScannedBatch& out, std::vector<std::string>* errors) {
+  out.lines.reserve(out.lines.size() + line_count(text));
+  scan_lines(
+      text, out, [](ScannedBatch&) {},
+      [errors](std::string message) {
+        if (errors != nullptr) errors->push_back(std::move(message));
+        return true;
+      });
+}
+
 util::Result<Point> parse_line(std::string_view line) {
-  Point p;
-  if (auto st = parse_into(line, p); !st.ok()) return util::Result<Point>::error(st.message());
-  return p;
+  ScannedBatch batch;
+  if (auto st = scan_line(line, batch); !st.ok()) {
+    return util::Result<Point>::error(st.message());
+  }
+  return to_point(batch, batch.lines.back());
 }
 
 util::Result<std::vector<Point>> parse(std::string_view text) {

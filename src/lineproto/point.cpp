@@ -21,6 +21,19 @@ std::int64_t FieldValue::as_int() const {
   return 0;
 }
 
+ValueView FieldValue::view() const {
+  switch (v_.index()) {
+    case 0:
+      return ValueView(std::in_place_index<0>, std::get<0>(v_));
+    case 1:
+      return ValueView(std::in_place_index<1>, std::get<1>(v_));
+    case 2:
+      return ValueView(std::in_place_index<2>, std::get<2>(v_));
+    default:
+      return ValueView(std::in_place_index<3>, std::get<3>(v_));
+  }
+}
+
 bool FieldValue::as_bool() const {
   if (const auto* b = std::get_if<bool>(&v_)) return *b;
   if (const auto* i = std::get_if<std::int64_t>(&v_)) return *i != 0;
@@ -72,8 +85,12 @@ void Point::add_field(std::string_view key, FieldValue value) {
 }
 
 void Point::normalize() {
-  std::sort(tags.begin(), tags.end(),
-            [](const Tag& a, const Tag& b) { return a.first < b.first; });
+  // Stable, so duplicate keys keep their written order — the order
+  // lineproto::sort_tags gives a scanned line's tags.
+  const auto by_key = [](const Tag& a, const Tag& b) { return a.first < b.first; };
+  if (!std::is_sorted(tags.begin(), tags.end(), by_key)) {
+    std::stable_sort(tags.begin(), tags.end(), by_key);
+  }
 }
 
 bool Point::operator==(const Point& other) const {

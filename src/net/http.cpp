@@ -1,5 +1,7 @@
 #include "lms/net/http.hpp"
 
+#include <optional>
+
 #include "lms/util/strings.hpp"
 
 namespace lms::net {
@@ -177,19 +179,12 @@ namespace {
 struct HeadBlock {
   std::string start_line;
   HeaderMap headers;
-  std::size_t body_offset = 0;
   std::size_t body_length = 0;
-  std::size_t total = 0;
 };
 
-util::Result<HeadBlock> parse_head(std::string_view data) {
-  const std::size_t head_end = data.find("\r\n\r\n");
-  if (head_end == std::string_view::npos) {
-    return util::Result<HeadBlock>::error("incomplete headers");
-  }
+/// Parse a head: start line and headers (`head` may include the blank line).
+util::Result<HeadBlock> parse_head_block(std::string_view head) {
   HeadBlock out;
-  out.body_offset = head_end + 4;
-  const std::string_view head = data.substr(0, head_end);
   bool first = true;
   for (const auto& line : util::split(head, '\n')) {
     std::string_view l = line;
@@ -199,6 +194,7 @@ util::Result<HeadBlock> parse_head(std::string_view data) {
       first = false;
       continue;
     }
+    if (l.empty()) continue;
     const auto [name, value] = util::split_once(l, ':');
     out.headers.set(util::trim(name), util::trim(value));
   }
@@ -208,36 +204,59 @@ util::Result<HeadBlock> parse_head(std::string_view data) {
     if (!n || *n < 0) return util::Result<HeadBlock>::error("bad Content-Length");
     out.body_length = static_cast<std::size_t>(*n);
   }
-  out.total = out.body_offset + out.body_length;
-  if (data.size() < out.total) {
-    return util::Result<HeadBlock>::error("incomplete body");
-  }
   return out;
+}
+
+/// Length of the head at the start of `data` (through its blank line), or
+/// nullopt while the blank line has not arrived.
+std::optional<std::size_t> head_length(std::string_view data) {
+  const std::size_t head_end = data.find("\r\n\r\n");
+  if (head_end == std::string_view::npos) return std::nullopt;
+  return head_end + 4;
 }
 
 }  // namespace
 
-util::Result<HttpRequest> parse_request(std::string_view data, std::size_t* consumed) {
-  auto head = parse_head(data);
-  if (!head.ok()) return util::Result<HttpRequest>::error(head.message());
-  const auto parts = util::split(head->start_line, ' ');
+util::Result<RequestHead> parse_request_head(std::string_view head) {
+  auto block = parse_head_block(head);
+  if (!block.ok()) return util::Result<RequestHead>::error(block.message());
+  const auto parts = util::split(block->start_line, ' ');
   if (parts.size() < 3) {
-    return util::Result<HttpRequest>::error("malformed request line '" + head->start_line + "'");
+    return util::Result<RequestHead>::error("malformed request line '" + block->start_line +
+                                            "'");
   }
-  HttpRequest req;
+  RequestHead out;
+  HttpRequest& req = out.request;
   req.method = parts[0];
   const auto [p, q] = util::split_once(parts[1], '?');
   req.path = util::url_decode(p);
   req.query = QueryParams::parse(q);
-  req.headers = std::move(head->headers);
-  req.body = std::string(data.substr(head->body_offset, head->body_length));
-  if (consumed != nullptr) *consumed = head->total;
-  return req;
+  req.headers = std::move(block->headers);
+  out.content_length = block->body_length;
+  return out;
+}
+
+util::Result<HttpRequest> parse_request(std::string_view data, std::size_t* consumed) {
+  const auto head_len = head_length(data);
+  if (!head_len) return util::Result<HttpRequest>::error("incomplete headers");
+  auto head = parse_request_head(data.substr(0, *head_len));
+  if (!head.ok()) return util::Result<HttpRequest>::error(head.message());
+  if (data.size() - *head_len < head->content_length) {
+    return util::Result<HttpRequest>::error("incomplete body");
+  }
+  head->request.body = std::string(data.substr(*head_len, head->content_length));
+  if (consumed != nullptr) *consumed = *head_len + head->content_length;
+  return std::move(head->request);
 }
 
 util::Result<HttpResponse> parse_response(std::string_view data, std::size_t* consumed) {
-  auto head = parse_head(data);
+  const auto head_len = head_length(data);
+  if (!head_len) return util::Result<HttpResponse>::error("incomplete headers");
+  auto head = parse_head_block(data.substr(0, *head_len));
   if (!head.ok()) return util::Result<HttpResponse>::error(head.message());
+  if (data.size() - *head_len < head->body_length) {
+    return util::Result<HttpResponse>::error("incomplete body");
+  }
   const auto parts = util::split(head->start_line, ' ');
   if (parts.size() < 2 || !util::starts_with(parts[0], "HTTP/")) {
     return util::Result<HttpResponse>::error("malformed status line '" + head->start_line + "'");
@@ -247,8 +266,8 @@ util::Result<HttpResponse> parse_response(std::string_view data, std::size_t* co
   HttpResponse resp;
   resp.status = static_cast<int>(*status);
   resp.headers = std::move(head->headers);
-  resp.body = std::string(data.substr(head->body_offset, head->body_length));
-  if (consumed != nullptr) *consumed = head->total;
+  resp.body = std::string(data.substr(*head_len, head->body_length));
+  if (consumed != nullptr) *consumed = *head_len + head->body_length;
   return resp;
 }
 

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -111,6 +112,12 @@ void TcpHttpServer::stop() {
   std::list<Worker> workers;
   {
     const core::sync::LockGuard lock(workers_mu_);
+    // A worker blocked in recv() on an idle keep-alive connection would hold
+    // stop() for its socket timeout; shutting down the read side wakes it
+    // at once, while a response being sent still goes out.
+    for (const Worker& w : workers_) {
+      if (w.fd >= 0) ::shutdown(w.fd, SHUT_RD);
+    }
     workers.swap(workers_);
   }
   for (auto& w : workers) {
@@ -155,8 +162,14 @@ void TcpHttpServer::accept_loop() {
       }
     }
     Worker& w = workers_.emplace_back();
+    w.fd = fd;
     w.thread = std::thread([this, fd, &w] {
       serve_connection(fd);
+      {
+        const core::sync::LockGuard done_lock(workers_mu_);
+        w.fd = -1;
+      }
+      ::close(fd);
       active_connections_.fetch_sub(1);
       w.done.store(true, std::memory_order_release);
     });
@@ -167,56 +180,87 @@ void TcpHttpServer::serve_connection(int fd) {
   set_timeout(fd, 5000);
   const int one = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  // Bytes received but not yet consumed: a head in progress, or what a
+  // pipelining client sent behind the previous request.
   std::string buffer;
   char chunk[16384];
-  while (running_.load()) {
-    // Try to parse a complete request from what we have.
-    std::size_t consumed = 0;
-    auto req = parse_request(buffer, &consumed);
-    if (req.ok()) {
-      buffer.erase(0, consumed);
-      HttpResponse resp;
-      const util::TimeNs t0 = util::monotonic_now_ns();
-      {
-        // Join the caller's trace (X-LMS-Trace) for the handler's duration
-        // and time the request into the registry, labeled by route.
-        obs::TraceContext remote_ctx;
-        if (const auto header = req->headers.get(obs::kTraceHeader)) {
-          if (const auto parsed = obs::parse_trace_header(*header)) remote_ctx = *parsed;
-        }
-        const obs::ScopedTraceContext adopt(remote_ctx);
-        obs::Span span("http.server " + req->method + " " + req->path, "net");
-        try {
-          resp = handler_(*req);
-        } catch (const std::exception& e) {
-          resp = HttpResponse::text(500, std::string("handler error: ") + e.what());
-        }
-        span.set_ok(resp.status < 500);
-      }
-      obs::Registry& reg = resolve_registry(options_.registry);
-      const obs::Labels route{{"route", req->path}, {"transport", "tcp"}};
-      reg.counter("http_server_requests",
-                  {{"route", req->path}, {"transport", "tcp"}, {"status", status_class(resp.status)}})
-          .inc();
-      reg.histogram("http_server_request_ns", route).record_since(t0);
-      reg.counter("http_server_request_bytes", route).inc(req->body.size());
-      reg.counter("http_server_response_bytes", route).inc(resp.body.size());
-      const bool close_conn =
-          util::iequals(req->headers.get_or("Connection", "keep-alive"), "close");
-      resp.headers.set("Connection", close_conn ? "close" : "keep-alive");
-      if (!send_all(fd, resp.serialize())) break;
-      if (close_conn) break;
-      continue;
-    }
-    if (buffer.size() > options_.max_request_bytes) {
-      send_all(fd, HttpResponse::text(413, "request too large").serialize());
-      break;
-    }
+  const auto receive = [&] {
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;  // timeout, close or error
+    if (n <= 0) return false;  // timeout, close or error
     buffer.append(chunk, static_cast<std::size_t>(n));
+    return true;
+  };
+  const auto reject_too_large = [fd] {
+    send_all(fd, HttpResponse::text(413, "request too large").serialize());
+  };
+  while (running_.load()) {
+    // The head: receive until its blank line, then parse it once.
+    std::size_t head_end = buffer.find("\r\n\r\n");
+    while (head_end == std::string::npos) {
+      if (buffer.size() > options_.max_request_bytes) {
+        reject_too_large();
+        return;
+      }
+      const std::size_t from = buffer.size() < 3 ? 0 : buffer.size() - 3;
+      if (!receive()) return;
+      head_end = buffer.find("\r\n\r\n", from);
+    }
+    const std::size_t head_len = head_end + 4;
+    auto head = parse_request_head(std::string_view(buffer).substr(0, head_len));
+    if (!head.ok()) {
+      send_all(fd, HttpResponse::bad_request(head.message()).serialize());
+      return;
+    }
+    const std::size_t body_len = head->content_length;
+    if (head_len > options_.max_request_bytes ||
+        body_len > options_.max_request_bytes - head_len) {
+      reject_too_large();
+      return;
+    }
+    // The body: the bytes that arrived behind the head, then the rest
+    // received straight into the request.
+    HttpRequest& req = head->request;
+    const std::size_t buffered = std::min(body_len, buffer.size() - head_len);
+    req.body.resize(body_len);
+    buffer.copy(req.body.data(), buffered, head_len);
+    buffer.erase(0, head_len + buffered);
+    for (std::size_t filled = buffered; filled < body_len;) {
+      const ssize_t n = ::recv(fd, req.body.data() + filled, body_len - filled, 0);
+      if (n <= 0) return;
+      filled += static_cast<std::size_t>(n);
+    }
+
+    HttpResponse resp;
+    const util::TimeNs t0 = util::monotonic_now_ns();
+    {
+      // Join the caller's trace (X-LMS-Trace) for the handler's duration
+      // and time the request into the registry, labeled by route.
+      obs::TraceContext remote_ctx;
+      if (const auto header = req.headers.get(obs::kTraceHeader)) {
+        if (const auto parsed = obs::parse_trace_header(*header)) remote_ctx = *parsed;
+      }
+      const obs::ScopedTraceContext adopt(remote_ctx);
+      obs::Span span("http.server " + req.method + " " + req.path, "net");
+      try {
+        resp = handler_(req);
+      } catch (const std::exception& e) {
+        resp = HttpResponse::text(500, std::string("handler error: ") + e.what());
+      }
+      span.set_ok(resp.status < 500);
+    }
+    obs::Registry& reg = resolve_registry(options_.registry);
+    const obs::Labels route{{"route", req.path}, {"transport", "tcp"}};
+    reg.counter("http_server_requests",
+                {{"route", req.path}, {"transport", "tcp"}, {"status", status_class(resp.status)}})
+        .inc();
+    reg.histogram("http_server_request_ns", route).record_since(t0);
+    reg.counter("http_server_request_bytes", route).inc(req.body.size());
+    reg.counter("http_server_response_bytes", route).inc(resp.body.size());
+    const bool close_conn = util::iequals(req.headers.get_or("Connection", "keep-alive"), "close");
+    resp.headers.set("Connection", close_conn ? "close" : "keep-alive");
+    if (!send_all(fd, resp.serialize())) return;
+    if (close_conn) return;
   }
-  ::close(fd);
 }
 
 namespace {

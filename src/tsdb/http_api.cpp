@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "lms/json/json.hpp"
+#include "lms/lineproto/codec.hpp"
 #include "lms/obs/runtime.hpp"
 #include "lms/obs/trace.hpp"
 #include "lms/tsdb/ingest.hpp"
@@ -139,21 +140,32 @@ net::HttpResponse HttpApi::handle_write(const net::HttpRequest& req) {
   obs::Span span("tsdb.write", "tsdb");
   const util::TimeNs t0 = util::monotonic_now_ns();
   write_requests_.inc();
-  auto parsed = parse_write_request(req, options_.default_db, clock_.now());
-  if (!parsed.ok()) {
+  const TimeNs default_time = clock_.now();
+  const auto fail = [&](const std::string& message) {
     parse_errors_.inc();
     span.set_ok(false);
-    return write_error_response(parsed.message());
+    return write_error_response(message);
+  };
+  auto target = parse_write_target(req, options_.default_db);
+  if (!target.ok()) return fail(target.message());
+  // Scan the body into line views and apply them: no Point is built.
+  lineproto::ScannedBatch lines;
+  std::vector<std::string> errors;
+  lineproto::scan(req.body, lines, &errors);
+  if (auto st = check_lenient_parse(lines.lines.size(), errors); !st.ok()) {
+    return fail(st.message());
   }
-  parse_errors_.inc(parsed->errors.size());
-  if (!options_.auto_create_dbs && storage_.find_database(parsed->batch.db) == nullptr) {
+  parse_errors_.inc(errors.size());
+  Database* db = options_.auto_create_dbs ? &storage_.database(target->db)
+                                          : storage_.find_database(target->db);
+  if (db == nullptr) {
     span.set_ok(false);
-    return unknown_db_response(parsed->batch.db);
+    return unknown_db_response(target->db);
   }
-  const std::size_t conflicts = storage_.write(parsed->batch);
-  points_written_.inc(parsed->batch.points.size());
-  if (!parsed->errors.empty()) {
-    LMS_WARN("tsdb") << parsed->errors.size() << " malformed lines dropped in /write";
+  const std::size_t conflicts = db->write_lines(lines, default_time, target->timestamp_scale);
+  points_written_.inc(lines.lines.size());
+  if (!errors.empty()) {
+    LMS_WARN("tsdb") << errors.size() << " malformed lines dropped in /write";
   }
   if (conflicts > 0) {
     // Lenient like malformed lines: the rest of the batch landed, so 204.

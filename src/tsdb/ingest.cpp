@@ -15,18 +15,32 @@ util::Result<TimeNs> parse_precision(std::string_view precision) {
   return util::Result<TimeNs>::error("invalid precision '" + std::string(precision) + "'");
 }
 
+util::Result<WriteTarget> parse_write_target(const net::HttpRequest& req,
+                                             const std::string& default_db) {
+  const auto scale = parse_precision(req.query.get_or("precision", ""));
+  if (!scale.ok()) return util::Result<WriteTarget>::error(scale.message());
+  return WriteTarget{req.query.get_or("db", default_db), *scale};
+}
+
+util::Status check_lenient_parse(std::size_t accepted, const std::vector<std::string>& errors) {
+  if (accepted == 0 && !errors.empty()) {
+    return util::Status::error("unable to parse batch: " + errors.front());
+  }
+  return {};
+}
+
 util::Result<WriteRequest> parse_write_request(const net::HttpRequest& req,
                                                const std::string& default_db,
                                                TimeNs default_time) {
-  const auto scale = parse_precision(req.query.get_or("precision", ""));
-  if (!scale.ok()) return util::Result<WriteRequest>::error(scale.message());
+  auto target = parse_write_target(req, default_db);
+  if (!target.ok()) return util::Result<WriteRequest>::error(target.message());
   WriteRequest out;
-  out.batch.db = req.query.get_or("db", default_db);
-  out.batch.timestamp_scale = *scale;
+  out.batch.db = std::move(target->db);
+  out.batch.timestamp_scale = target->timestamp_scale;
   out.batch.default_time = default_time;
   out.batch.points = lineproto::parse_lenient(req.body, &out.errors);
-  if (out.batch.points.empty() && !out.errors.empty()) {
-    return util::Result<WriteRequest>::error("unable to parse batch: " + out.errors.front());
+  if (auto st = check_lenient_parse(out.batch.points.size(), out.errors); !st.ok()) {
+    return util::Result<WriteRequest>::error(st.message());
   }
   return out;
 }

@@ -8,30 +8,25 @@ namespace lms::tsdb {
 
 namespace {
 
-Column::Type type_of(const FieldValue& v) {
-  if (v.is_double()) return Column::Type::kFloat;
-  if (v.is_int()) return Column::Type::kInt;
-  if (v.is_bool()) return Column::Type::kBool;
-  return Column::Type::kString;
-}
-
+/// The value a column stores for a scanned value of its own type.
 template <typename T>
-T unbox(const FieldValue& v) {
+T unbox(const ValueView& v) {
   if constexpr (std::is_same_v<T, double>) {
-    return v.as_double();
+    return std::get<double>(v);
   } else if constexpr (std::is_same_v<T, std::int64_t>) {
-    return v.as_int();
+    return std::get<std::int64_t>(v);
   } else if constexpr (std::is_same_v<T, std::uint8_t>) {
-    return v.as_bool() ? 1 : 0;
+    return std::get<bool>(v) ? 1 : 0;
   } else {
-    return v.as_string();
+    return std::string(std::get<std::string_view>(v));
   }
 }
 
 }  // namespace
 
-bool Column::append(TimeNs t, const FieldValue& v) {
-  const Type type = type_of(v);
+bool Column::append(TimeNs t, const ValueView& v) {
+  // ValueView's alternatives are in Type order.
+  const auto type = static_cast<Type>(v.index());
   if (type != this->type()) {
     if (!times_.empty()) return false;  // first type wins
     switch (type) {
@@ -154,29 +149,19 @@ void ReadSnapshot::release() {
 
 // ---------------------------------------------------------------- database
 
-namespace {
-
-/// FNV-1a over the series identity (measurement + sorted tag set). The tag
-/// set is sorted on normalized points, so the hash is canonical.
-std::size_t series_hash(std::string_view measurement, const std::vector<Tag>& tags) {
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::string_view s) {
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ULL;
-    }
-    h ^= 0xff;  // separator so ("ab","c") != ("a","bc")
-    h *= 1099511628211ULL;
-  };
-  mix(measurement);
-  for (const auto& [k, v] : tags) {
-    mix(k);
-    mix(v);
-  }
-  return static_cast<std::size_t>(h);
+std::size_t Database::KeyHash::operator()(std::string_view key) const {
+  return std::hash<std::string_view>{}(key);
 }
 
-}  // namespace
+struct Database::WriteScratch {
+  std::string built;  ///< keys built for non-canonical lines
+  std::vector<std::pair<std::size_t, std::size_t>> built_at;  ///< (line, offset in built)
+  std::vector<HashedKey> keys;                                 ///< per line
+  std::vector<std::uint32_t> stripe_of;                        ///< per line
+  std::vector<std::uint32_t> bucket_end;  ///< per stripe, exclusive prefix sums
+  std::vector<std::uint32_t> next;        ///< per stripe, fill cursor
+  std::vector<std::uint32_t> order;       ///< line indexes grouped by stripe
+};
 
 Database::Database(std::string name, std::size_t shard_count) : name_(std::move(name)) {
   if (shard_count == 0) shard_count = 1;
@@ -186,62 +171,134 @@ Database::Database(std::string name, std::size_t shard_count) : name_(std::move(
   }
 }
 
-std::size_t Database::shard_of(const Point& point) const {
-  return series_hash(point.measurement, point.tags) % shards_.size();
-}
-
 std::size_t Database::shard_of_key(std::string_view measurement,
                                    const std::vector<Tag>& tags) const {
-  return series_hash(measurement, tags) % shards_.size();
+  thread_local std::string key;
+  key.clear();
+  lineproto::append_series_key(key, measurement, tags);
+  return KeyHash()(key) % shards_.size();
 }
 
-std::size_t Database::write_into(Shard& shard, const Point& point, TimeNs t) const {
-  SeriesKey key{point.measurement, point.tags};
+const Series* Database::find_series(std::string_view measurement,
+                                    const std::vector<Tag>& tags) const {
+  const Shard& shard = *shards_[shard_of_key(measurement, tags)];
+  std::string key;
+  lineproto::append_series_key(key, measurement, tags);
+  const auto it = shard.series.find(std::string_view(key));
+  return it != shard.series.end() ? &it->second : nullptr;
+}
+
+std::size_t Database::apply_line(Shard& shard, const HashedKey& key,
+                                 const lineproto::ScannedBatch& batch,
+                                 const lineproto::LineView& line, TimeNs t) {
   auto it = shard.series.find(key);
   if (it == shard.series.end()) {
-    auto s = std::make_unique<Series>();
-    s->measurement = point.measurement;
-    s->tags = point.tags;
-    Series* raw = s.get();
-    it = shard.series.emplace(std::move(key), std::move(s)).first;
-    shard.by_measurement[point.measurement].insert(raw);
-    auto& meas_index = shard.index[point.measurement];
-    for (const auto& [tk, tv] : point.tags) {
-      meas_index[tk][tv].insert(raw);
-    }
+    it = shard.series.emplace(std::string(key.bytes), Series()).first;
+    Series& s = it->second;
+    s.measurement = line.measurement;
+    const auto tags = batch.tags_of(line);
+    s.tags.reserve(tags.size());
+    for (const auto& tag : tags) s.tags.emplace_back(std::string(tag.key), std::string(tag.value));
+    shard.by_measurement[s.measurement].insert(&s);
+    auto& meas_index = shard.index[s.measurement];
+    for (const auto& [tk, tv] : s.tags) meas_index[tk][tv].insert(&s);
   }
-  Series& s = *it->second;
+  Series& s = it->second;
   std::size_t rejected = 0;
-  for (const auto& [fk, fv] : point.fields) {
-    if (!s.columns[fk].append(t, fv)) ++rejected;
+  for (const auto& field : batch.fields_of(line)) {
+    auto cit = s.columns.find(field.key);
+    if (cit == s.columns.end()) cit = s.columns.emplace(std::string(field.key), Column()).first;
+    if (!cit->second.append(t, field.value)) ++rejected;
   }
   return rejected;
 }
 
 std::size_t Database::write(const Point& point, TimeNs default_time) {
-  Shard& shard = *shards_[shard_of(point)];
-  const TimeNs t = point.timestamp != 0 ? point.timestamp : default_time;
-  const core::sync::WriteLockGuard lock(shard.mu);
-  return write_into(shard, point, t);
+  return write_batch(std::span<const Point>(&point, 1), default_time, 1);
 }
 
-std::size_t Database::write_batch(const std::vector<Point>& points, TimeNs default_time,
+std::size_t Database::write_batch(std::span<const Point> points, TimeNs default_time,
                                   TimeNs timestamp_scale) {
-  if (points.empty()) return 0;
-  if (timestamp_scale <= 0) timestamp_scale = 1;
-  // Bucket per stripe so each stripe mutex is taken exactly once per batch.
-  std::vector<std::vector<const Point*>> buckets(shards_.size());
-  for (const auto& p : points) {
-    buckets[shard_of(p)].push_back(&p);
-  }
+  // Project the points into scanned form (views into the points; their
+  // prefixes are not canonical, so write_lines builds their keys). Chunks
+  // keep the projection cache-resident on large batches.
+  constexpr std::size_t kChunk = 256;
+  thread_local lineproto::ScannedBatch batch;
   std::size_t rejected = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    if (buckets[i].empty()) continue;
-    Shard& shard = *shards_[i];
+  for (std::size_t at = 0; at < points.size(); at += kChunk) {
+    batch.clear();
+    for (const Point& p : points.subspan(at, std::min(kChunk, points.size() - at))) {
+      lineproto::LineView line;
+      line.measurement = p.measurement;
+      line.tags_begin = static_cast<std::uint32_t>(batch.tags.size());
+      for (const auto& [k, v] : p.tags) batch.tags.push_back({k, v});
+      line.tags_end = static_cast<std::uint32_t>(batch.tags.size());
+      line.fields_begin = static_cast<std::uint32_t>(batch.fields.size());
+      for (const auto& [k, v] : p.fields) batch.fields.push_back({k, v.view()});
+      line.fields_end = static_cast<std::uint32_t>(batch.fields.size());
+      line.timestamp = p.timestamp;
+      batch.lines.push_back(line);
+    }
+    rejected += write_lines(batch, default_time, timestamp_scale);
+  }
+  return rejected;
+}
+
+std::size_t Database::write_lines(lineproto::ScannedBatch& batch, TimeNs default_time,
+                                  TimeNs timestamp_scale) {
+  const std::size_t n = batch.lines.size();
+  if (n == 0) return 0;
+  if (timestamp_scale <= 0) timestamp_scale = 1;
+  thread_local WriteScratch scratch;
+  auto& [built, built_at, keys, stripe_of, bucket_end, next, order] = scratch;
+
+  // Resolve every line's canonical key: its raw prefix when canonical,
+  // otherwise built from its key-sorted tags into `built` (views are taken
+  // once `built` stops growing).
+  built.clear();
+  built_at.clear();
+  keys.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const lineproto::LineView& line = batch.lines[i];
+    if (line.canonical) {
+      keys[i].bytes = line.prefix;
+      continue;
+    }
+    const auto tags = batch.tags_of(line);
+    lineproto::sort_tags(tags);
+    built_at.emplace_back(i, built.size());
+    lineproto::append_series_key(built, line.measurement, tags);
+  }
+  for (std::size_t k = 0; k < built_at.size(); ++k) {
+    const auto [i, at] = built_at[k];
+    const std::size_t end = k + 1 < built_at.size() ? built_at[k + 1].second : built.size();
+    keys[i].bytes = std::string_view(built).substr(at, end - at);
+  }
+
+  // Bucket by stripe with a counting sort (stable: each stripe applies its
+  // lines in batch order), so each stripe mutex is taken once per batch.
+  const std::size_t stripes = shards_.size();
+  stripe_of.resize(n);
+  bucket_end.assign(stripes + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    keys[i].hash = KeyHash()(keys[i].bytes);
+    stripe_of[i] = static_cast<std::uint32_t>(keys[i].hash % stripes);
+    ++bucket_end[stripe_of[i] + 1];
+  }
+  for (std::size_t s = 0; s < stripes; ++s) bucket_end[s + 1] += bucket_end[s];
+  next.assign(bucket_end.begin(), bucket_end.end() - 1);
+  order.resize(n);
+  for (std::size_t i = 0; i < n; ++i) order[next[stripe_of[i]]++] = static_cast<std::uint32_t>(i);
+
+  std::size_t rejected = 0;
+  for (std::size_t s = 0; s < stripes; ++s) {
+    if (bucket_end[s] == bucket_end[s + 1]) continue;
+    Shard& shard = *shards_[s];
     const core::sync::WriteLockGuard lock(shard.mu);
-    for (const Point* p : buckets[i]) {
-      const TimeNs t = p->timestamp != 0 ? p->timestamp * timestamp_scale : default_time;
-      rejected += write_into(shard, *p, t);
+    for (std::uint32_t k = bucket_end[s]; k < bucket_end[s + 1]; ++k) {
+      const lineproto::LineView& line = batch.lines[order[k]];
+      const TimeNs t = line.timestamp != 0 ? line.timestamp * timestamp_scale : default_time;
+      rejected += apply_line(shard, keys[order[k]], batch, line, t);
     }
   }
   return rejected;
@@ -349,7 +406,7 @@ std::size_t Database::sample_count() const {
   std::size_t n = 0;
   for (const auto& shard : shards_) {
     for (const auto& [_, s] : shard->series) {
-      for (const auto& [__, col] : s->columns) n += col.size();
+      for (const auto& [__, col] : s.columns) n += col.size();
     }
   }
   return n;
@@ -379,7 +436,7 @@ std::size_t Database::drop_before_shard(Shard& shard, TimeNs cutoff,
                                         const std::function<bool(const std::string&)>& pred) {
   std::size_t dropped = 0;
   for (auto it = shard.series.begin(); it != shard.series.end();) {
-    Series& s = *it->second;
+    Series& s = it->second;
     if (!pred(s.measurement)) {
       ++it;
       continue;
@@ -395,11 +452,11 @@ std::size_t Database::drop_before_shard(Shard& shard, TimeNs cutoff,
       }
     }
     if (all_empty) {
-      Series* raw = it->second.get();
-      shard.by_measurement[s.measurement].erase(raw);
+      // Unlink the series from the tag indexes, then erase its index entry.
+      shard.by_measurement[s.measurement].erase(&s);
       auto& meas_index = shard.index[s.measurement];
       for (const auto& [tk, tv] : s.tags) {
-        meas_index[tk][tv].erase(raw);
+        meas_index[tk][tv].erase(&s);
       }
       it = shard.series.erase(it);
     } else {

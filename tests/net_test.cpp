@@ -5,10 +5,12 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <mutex>
 #include <thread>
 
 #include "lms/net/http.hpp"
@@ -341,6 +343,157 @@ TEST(TcpHttp, IdleKeepAliveConnectionDoesNotStallAccepts) {
   }
   ::close(held);
   server.stop();
+}
+
+/// A raw client socket connected to 127.0.0.1:`port` (-1 on failure).
+int connect_raw(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Send `wire` in pieces of `piece` bytes (one send each; TCP_NODELAY so
+/// small pieces leave as separate segments) and read one response.
+util::Result<HttpResponse> send_in_pieces(int port, const std::string& wire, std::size_t piece) {
+  const int fd = connect_raw(port);
+  if (fd < 0) return util::Result<HttpResponse>::error("connect failed");
+  const int one = 1;
+  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  for (std::size_t at = 0; at < wire.size(); at += piece) {
+    const std::size_t n = std::min(piece, wire.size() - at);
+    if (::send(fd, wire.data() + at, n, MSG_NOSIGNAL) != static_cast<ssize_t>(n)) {
+      ::close(fd);
+      return util::Result<HttpResponse>::error("send failed");
+    }
+  }
+  std::string buffer;
+  char chunk[4096];
+  while (true) {
+    std::size_t consumed = 0;
+    auto resp = parse_response(buffer, &consumed);
+    if (resp.ok()) {
+      ::close(fd);
+      return resp;
+    }
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) break;
+    buffer.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return util::Result<HttpResponse>::error("no response");
+}
+
+/// A server whose handler records the last request it saw.
+struct RecordingServer {
+  std::mutex mu;
+  HttpRequest last;
+  TcpHttpServer server{[this](const HttpRequest& req) {
+    const std::lock_guard<std::mutex> lock(mu);
+    last = req;
+    return HttpResponse::no_content();
+  }};
+  HttpRequest take() {
+    const std::lock_guard<std::mutex> lock(mu);
+    return last;
+  }
+};
+
+void expect_same_request(const HttpRequest& got, const HttpRequest& want) {
+  EXPECT_EQ(got.method, want.method);
+  EXPECT_EQ(got.path, want.path);
+  EXPECT_EQ(got.query.items(), want.query.items());
+  EXPECT_EQ(got.headers.items(), want.headers.items());
+  EXPECT_EQ(got.body.size(), want.body.size());
+  EXPECT_TRUE(got.body == want.body);
+}
+
+TEST(TcpHttp, RequestInOneByteSendsParsesLikeWhole) {
+  RecordingServer rec;
+  const auto port = rec.server.start();
+  ASSERT_TRUE(port.ok()) << port.message();
+  HttpRequest req = HttpRequest::post("/write?db=lms&precision=s",
+                                      "cpu,hostname=h1 v=1 10\nmem,hostname=h1 used=2 10\n",
+                                      "text/plain");
+  req.headers.set("X-Extra", "a: b");
+  const std::string wire = req.serialize();
+  std::size_t consumed = 0;
+  const auto want = parse_request(wire, &consumed);
+  ASSERT_TRUE(want.ok());
+
+  const auto resp = send_in_pieces(*port, wire, 1);
+  ASSERT_TRUE(resp.ok()) << resp.message();
+  EXPECT_EQ(resp->status, 204);
+  expect_same_request(rec.take(), *want);
+  rec.server.stop();
+}
+
+TEST(TcpHttp, MebibyteBodyOverManySendsParsesLikeWhole) {
+  RecordingServer rec;
+  const auto port = rec.server.start();
+  ASSERT_TRUE(port.ok()) << port.message();
+  std::string body;
+  body.reserve(1 << 20);
+  for (std::size_t i = 0; body.size() < (1 << 20); ++i) {
+    body += "cpu,hostname=node" + std::to_string(i % 97) + " v=" + std::to_string(i) + "\n";
+  }
+  body.resize(1 << 20);
+  const std::string wire = HttpRequest::post("/write?db=lms", body, "text/plain").serialize();
+  std::size_t consumed = 0;
+  const auto want = parse_request(wire, &consumed);
+  ASSERT_TRUE(want.ok());
+  ASSERT_EQ(want->body.size(), std::size_t{1} << 20);
+
+  // Pieces of 1000 bytes: no send boundary lines up with the head's end
+  // or the 16 KiB receive chunks.
+  const auto resp = send_in_pieces(*port, wire, 1000);
+  ASSERT_TRUE(resp.ok()) << resp.message();
+  EXPECT_EQ(resp->status, 204);
+  expect_same_request(rec.take(), *want);
+  rec.server.stop();
+}
+
+TEST(TcpHttp, MalformedHeadIsAnswered400) {
+  TcpHttpServer server([](const HttpRequest&) { return HttpResponse::no_content(); });
+  const auto port = server.start();
+  ASSERT_TRUE(port.ok()) << port.message();
+  // A head that cannot be parsed is answered at once, not left to the
+  // socket timeout.
+  const auto resp = send_in_pieces(*port, "GARBAGE\r\nHost: x\r\n\r\n", 64);
+  ASSERT_TRUE(resp.ok()) << resp.message();
+  EXPECT_EQ(resp->status, 400);
+  EXPECT_NE(resp->body.find("malformed request line"), std::string::npos);
+  server.stop();
+}
+
+TEST(TcpHttp, StopWakesIdleKeepAliveConnection) {
+  TcpHttpServer server([](const HttpRequest&) { return HttpResponse::text(200, "ok"); });
+  const auto port = server.start();
+  ASSERT_TRUE(port.ok()) << port.message();
+  // One keep-alive request, answered, then the connection is held open: its
+  // worker blocks in recv() with a 5 s socket timeout.
+  const int held = connect_raw(*port);
+  ASSERT_GE(held, 0);
+  const std::string req = "GET /held HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n";
+  ASSERT_EQ(::send(held, req.data(), req.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(req.size()));
+  char buf[512];
+  ASSERT_GT(::recv(held, buf, sizeof(buf), 0), 0);
+  // The response can arrive before its worker loops back into recv(); give
+  // it time to park there, or stop() would find it still running.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  ::close(held);
 }
 
 TEST(TcpHttp, ConnectToClosedPortFails) {

@@ -7,6 +7,8 @@
 //     evaluator, bit for bit, over every aggregator and fill mode,
 //   - HTTP and line-protocol parser robustness against mutated input
 //     (never crash; either parse or reject),
+//   - the TSDB's /write scan path vs. writing parse_lenient()'s Points:
+//     identical storage, conflict counts and errors on random bodies,
 //   - tag-store enrichment idempotence.
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -22,6 +25,8 @@
 #include "lms/hpm/formula.hpp"
 #include "lms/lineproto/codec.hpp"
 #include "lms/net/http.hpp"
+#include "lms/tsdb/http_api.hpp"
+#include "lms/tsdb/ingest.hpp"
 #include "lms/tsdb/query.hpp"
 #include "lms/util/rng.hpp"
 #include "lms/util/strings.hpp"
@@ -662,6 +667,309 @@ TEST_P(ParserRobustness, MalformedLinesKeepLineNumbersAndMessages) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserRobustness, ::testing::Range(1, 5));
 
 // ------------------------------------------------------------- tag store
+
+// ------------------------------------- /write scan path vs. the Point path
+
+/// One series identity as written: wire measurement and tags in written
+/// order (duplicate keys allowed).
+struct WireSeries {
+  std::string measurement;
+  std::vector<std::string> tags;  // ",key=value" each, wire-escaped
+};
+
+template <typename T, std::size_t N>
+const T& pick(Rng& rng, const T (&items)[N]) {
+  return items[static_cast<std::size_t>(rng.uniform_int(0, N - 1))];
+}
+
+/// Wire spellings chosen so every token kind carries an escape somewhere:
+/// escaped ',', ' ', '=', '\' and '"', a literal backslash (before a
+/// character that is not escapable) and a raw '=' in a measurement and in a
+/// tag value (the serializer escapes the latter).
+std::vector<WireSeries> random_series(Rng& rng, int n) {
+  static const char* const kMeasurements[] = {"cpu", "mem", R"(m\,x)", R"(m\ y)",
+                                              "m=eq", R"(bs\\)", R"(lit\q)"};
+  static const char* const kTagKeys[] = {"hostname", "jobid", "user", "a",
+                                         R"(k\ ey)", R"(k\=q)", R"(k\,c)"};
+  static const char* const kTagValues[] = {"h1",     "h2",     "4001",    R"(v\ 1)",
+                                           "v=1",    R"(v\=2)", R"(x\,y)", R"(n\\)"};
+  std::vector<WireSeries> out(static_cast<std::size_t>(n));
+  for (WireSeries& ws : out) {
+    ws.measurement = pick(rng, kMeasurements);
+    const auto tags = rng.uniform_int(0, 4);
+    for (std::int64_t t = 0; t < tags; ++t) {
+      ws.tags.push_back(std::string(",") + pick(rng, kTagKeys) + "=" + pick(rng, kTagValues));
+    }
+  }
+  return out;
+}
+
+/// A random body over `series`: each line writes one series with its tags
+/// in written or shuffled order (so one identity arrives sorted, unsorted
+/// and with duplicate keys), 1-3 fields of mixed types (so later values
+/// conflict with their column), an optional small timestamp (duplicates and
+/// out-of-order), plus malformed lines, randomly damaged lines, comments,
+/// blank lines and CRLF endings.
+std::string random_write_body(Rng& rng, const std::vector<WireSeries>& series, int lines) {
+  static const char* const kFieldKeys[] = {"v", "u", R"(f\ k)", R"(f\=e)", R"(f\,c)", "s"};
+  static const char* const kValues[] = {"1.5",      "-2e3",         "7i",
+                                        "-3i",      "t",            "false",
+                                        "nan",      R"("str")",     R"("q\"uote")",
+                                        R"("b\\s")", R"("a,b c=d")", R"("lit\n")"};
+  static const char* const kMalformed[] = {"cpu",          "cpu v=",       "cpu,host v=1",
+                                           "cpu v=1 abc",  R"(cpu v="open)", ",x=1 v=1",
+                                           "cpu v=1i2",    "cpu,=x v=1",   "cpu v=1 1 2",
+                                           "cpu =1",       "cpu,a=1,b v=1"};
+  std::string body;
+  for (int i = 0; i < lines; ++i) {
+    const auto kind = rng.uniform_int(0, 19);
+    if (kind == 0) {
+      body += "# comment v=1";
+    } else if (kind == 1) {
+      // blank line
+    } else if (kind == 2) {
+      body += pick(rng, kMalformed);
+    } else {
+      const auto at = rng.uniform_int(0, static_cast<std::int64_t>(series.size()) - 1);
+      const WireSeries& ws = series[static_cast<std::size_t>(at)];
+      std::vector<std::string> tags = ws.tags;
+      if (rng.uniform_int(0, 1) == 0) {
+        for (std::size_t k = tags.size(); k > 1; --k) {
+          std::swap(tags[k - 1], tags[static_cast<std::size_t>(rng.uniform_int(0, k - 1))]);
+        }
+      }
+      std::string line = ws.measurement;
+      for (const auto& t : tags) line += t;
+      const auto fields = rng.uniform_int(1, 3);
+      for (std::int64_t f = 0; f < fields; ++f) {
+        line += f == 0 ? ' ' : ',';
+        line += std::string(pick(rng, kFieldKeys)) + "=" + pick(rng, kValues);
+      }
+      if (rng.uniform_int(0, 9) < 7) line += " " + std::to_string(rng.uniform_int(1, 50));
+      if (rng.uniform_int(0, 19) == 0) {
+        const auto pos = rng.uniform_int(0, static_cast<std::int64_t>(line.size()) - 1);
+        line[static_cast<std::size_t>(pos)] = static_cast<char>(rng.uniform_int(32, 126));
+      }
+      body += line;
+    }
+    body += rng.uniform_int(0, 4) == 0 ? "\r\n" : "\n";
+  }
+  return body;
+}
+
+/// A stored value for comparison: doubles as bit patterns, so NaN compares.
+std::string render_value(const lineproto::FieldValue& v) {
+  return v.is_double() ? std::to_string(std::bit_cast<std::uint64_t>(v.as_double()))
+                       : v.as_string();
+}
+
+/// Everything a database holds, keyed by series identity: each column's
+/// type, times and values (doubles as bit patterns, so NaN compares).
+std::map<std::string, std::string> dump_series(const tsdb::Database& db) {
+  std::map<std::string, std::string> out;
+  for (const auto& m : db.measurements()) {
+    for (const tsdb::Series* s : db.series_of(m)) {
+      std::string id = s->measurement;
+      for (const auto& [k, v] : s->tags) id += "\x1f" + k + "=" + v;
+      std::string cols;
+      for (const auto& [field, col] : s->columns) {
+        cols += field + ":" + std::to_string(static_cast<int>(col.type())) + "[";
+        for (std::size_t i = 0; i < col.size(); ++i) {
+          cols += std::to_string(col.times()[i]) + "=" + render_value(col.value_at(i)) + ";";
+        }
+        cols += ']';
+      }
+      EXPECT_TRUE(out.emplace(id, cols).second) << "two series of identity " << id;
+    }
+  }
+  return out;
+}
+
+/// An independent model of the storage contract, for what both write paths
+/// share: a series per identity (measurement + normalized tags), a column
+/// per field whose first value fixes its type (later values of another type
+/// are rejected and counted), samples in time order with equal times in
+/// write order, and retention that drops old samples, then emptied columns,
+/// then emptied series. Rendered like dump_series().
+class StorageModel {
+ public:
+  /// Returns the number of rejected (type-conflicting) values.
+  std::size_t write(const std::vector<lineproto::Point>& points, TimeNs default_time,
+                    TimeNs scale) {
+    std::size_t rejected = 0;
+    for (const auto& p : points) {
+      std::string id = p.measurement;
+      for (const auto& [k, v] : p.tags) id += "\x1f" + k + "=" + v;
+      const TimeNs t = p.timestamp != 0 ? p.timestamp * scale : default_time;
+      for (const auto& [field, value] : p.fields) {
+        const auto type = static_cast<int>(value.view().index());
+        auto [it, fresh] = series_[id].try_emplace(field, Column{type, {}});
+        if (!fresh && it->second.type != type) {
+          ++rejected;
+          continue;
+        }
+        auto& samples = it->second.samples;
+        const auto at = std::upper_bound(
+            samples.begin(), samples.end(), t,
+            [](TimeNs x, const std::pair<TimeNs, std::string>& s) { return x < s.first; });
+        samples.insert(at, {t, render_value(value)});
+      }
+    }
+    return rejected;
+  }
+
+  void drop_before(TimeNs cutoff) {
+    for (auto sit = series_.begin(); sit != series_.end();) {
+      for (auto cit = sit->second.begin(); cit != sit->second.end();) {
+        auto& samples = cit->second.samples;
+        std::erase_if(samples, [cutoff](const auto& s) { return s.first < cutoff; });
+        cit = samples.empty() ? sit->second.erase(cit) : std::next(cit);
+      }
+      sit = sit->second.empty() ? series_.erase(sit) : std::next(sit);
+    }
+  }
+
+  std::map<std::string, std::string> dump() const {
+    std::map<std::string, std::string> out;
+    for (const auto& [id, columns] : series_) {
+      std::string cols;
+      for (const auto& [field, col] : columns) {
+        cols += field + ":" + std::to_string(col.type) + "[";
+        for (const auto& [t, v] : col.samples) cols += std::to_string(t) + "=" + v + ";";
+        cols += ']';
+      }
+      out[id] = cols;
+    }
+    return out;
+  }
+
+ private:
+  struct Column {
+    int type;
+    std::vector<std::pair<TimeNs, std::string>> samples;
+  };
+  std::map<std::string, std::map<std::string, Column>> series_;
+};
+
+/// Every series is found in the stripe shard_of_key() names.
+void expect_series_in_their_stripes(const tsdb::Database& db) {
+  for (const auto& m : db.measurements()) {
+    for (const tsdb::Series* s : db.series_of(m)) {
+      EXPECT_EQ(db.find_series(s->measurement, s->tags), s)
+          << s->measurement << " not in stripe " << db.shard_of_key(s->measurement, s->tags);
+    }
+  }
+}
+
+class WriteOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(WriteOracle, ScanPathLeavesStorageAsPointPath) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919);
+  const auto series = random_series(rng, 10);
+  tsdb::Storage scanned;  // written through the /write handler: scan and apply lines
+  util::SimClock clock(25);
+  tsdb::HttpApi api(scanned, clock);
+  const net::HttpHandler handler = api.handler();
+  tsdb::Database points("oracle");  // written as parse_lenient()'s Points
+  StorageModel model;               // what both must hold
+  std::size_t conflicts = 0;
+  std::size_t parse_errors = 0;
+  std::size_t written = 0;
+  for (int b = 0; b < 40; ++b) {
+    const std::string body =
+        random_write_body(rng, series, static_cast<int>(rng.uniform_int(1, 30)));
+    const bool seconds = rng.uniform_int(0, 3) == 0;
+    const std::string ctx = "batch " + std::to_string(b) + ":\n" + body;
+    std::vector<std::string> errors;
+    const auto parsed = lineproto::parse_lenient(body, &errors);
+    lineproto::ScannedBatch lines;
+    std::vector<std::string> scan_errors;
+    lineproto::scan(body, lines, &scan_errors);
+    ASSERT_EQ(scan_errors, errors) << ctx;
+    ASSERT_EQ(lines.lines.size(), parsed.size()) << ctx;
+
+    const net::HttpResponse resp = handler(net::HttpRequest::post(
+        seconds ? "/write?db=lms&precision=s" : "/write?db=lms", body, "text/plain"));
+    if (parsed.empty() && !errors.empty()) {
+      EXPECT_EQ(resp.status, 400) << ctx;
+      EXPECT_EQ(resp.body,
+                tsdb::write_error_response("unable to parse batch: " + errors.front()).body);
+      ++parse_errors;
+    } else {
+      EXPECT_EQ(resp.status, 204) << ctx;
+      const TimeNs scale = seconds ? util::kNanosPerSecond : 1;
+      const std::size_t rejected = points.write_batch(parsed, clock.now(), scale);
+      EXPECT_EQ(rejected, model.write(parsed, clock.now(), scale)) << ctx;
+      conflicts += rejected;
+      parse_errors += errors.size();
+      written += parsed.size();
+    }
+    EXPECT_EQ(api.field_type_conflicts(), conflicts) << ctx;
+    EXPECT_EQ(api.parse_errors(), parse_errors) << ctx;
+    EXPECT_EQ(api.points_written(), written) << ctx;
+    const tsdb::Database* db = scanned.find_database("lms");
+    if (db == nullptr) {
+      EXPECT_EQ(points.series_count(), 0u) << ctx;
+      continue;
+    }
+    ASSERT_EQ(dump_series(points), model.dump()) << ctx;
+    ASSERT_EQ(dump_series(*db), dump_series(points)) << ctx;
+
+    if (b % 10 == 9) {
+      // Retention mid-stream: the same samples and series go on both sides.
+      const TimeNs cutoff =
+          rng.uniform_int(0, 3) == 0 ? 20 * util::kNanosPerSecond : rng.uniform_int(5, 40);
+      EXPECT_EQ(scanned.drop_before(cutoff), points.drop_before(cutoff)) << ctx;
+      model.drop_before(cutoff);
+      ASSERT_EQ(dump_series(points), model.dump()) << ctx;
+      ASSERT_EQ(dump_series(*db), dump_series(points)) << ctx;
+    }
+    clock.advance(1);
+  }
+  EXPECT_GT(conflicts, 0u);
+  EXPECT_GT(parse_errors, 0u);
+  EXPECT_GT(points.series_count(), 5u);
+  expect_series_in_their_stripes(*scanned.find_database("lms"));
+  expect_series_in_their_stripes(points);
+}
+
+TEST_P(WriteOracle, RetentionDropThenRewrite) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729);
+  const auto series = random_series(rng, 8);
+  const std::string body = random_write_body(rng, series, 60);
+  const auto parsed = lineproto::parse_lenient(body, nullptr);
+  tsdb::Database scanned("scanned");
+  tsdb::Database points("points");
+  const auto write_both = [&] {
+    StorageModel model;
+    const std::size_t expected = model.write(parsed, 25, 1);
+    lineproto::ScannedBatch lines;
+    lineproto::scan(body, lines, nullptr);
+    EXPECT_EQ(scanned.write_lines(lines, 25), expected);
+    EXPECT_EQ(points.write_batch(parsed, 25), expected);
+    return model.dump();
+  };
+  const auto before = write_both();
+  ASSERT_FALSE(before.empty());
+  ASSERT_EQ(dump_series(points), before);
+  ASSERT_EQ(dump_series(scanned), before);
+
+  // Drop everything: every series leaves the index, not just the tag maps.
+  scanned.drop_before(std::numeric_limits<TimeNs>::max());
+  points.drop_before(std::numeric_limits<TimeNs>::max());
+  EXPECT_EQ(scanned.series_count(), 0u);
+  EXPECT_EQ(scanned.sample_count(), 0u);
+  EXPECT_TRUE(dump_series(scanned).empty());
+
+  // Rewriting recreates each series, visible to readers and in its stripe.
+  write_both();
+  EXPECT_EQ(dump_series(scanned), before);
+  EXPECT_EQ(dump_series(points), before);
+  EXPECT_EQ(scanned.series_count(), points.series_count());
+  expect_series_in_their_stripes(scanned);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WriteOracle, ::testing::Range(1, 9));
 
 TEST(TagStoreProperty, EnrichmentIsIdempotent) {
   Rng rng(11);
